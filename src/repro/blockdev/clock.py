@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List
 
-from repro.util.npgate import np, vector_enabled
-
 
 @dataclass
 class SimClock:
@@ -33,33 +31,6 @@ class SimClock:
         self.now += seconds
         for observer in self._observers:
             observer(seconds, reason)
-
-    def advance_batch(self, deltas, reason: str = "") -> None:
-        """Advance by each delta of *deltas*, in order, in one fold.
-
-        Semantically ``for d in deltas: self.advance(d, reason)`` and — the
-        whole point — bit-identical to it: the vectorized fold applies the
-        float64 additions in the same left-to-right order as the serial
-        loop (``np.add.accumulate`` is a strict left fold), so batched
-        leaf-device replay cannot drift the simulated clock by rounding.
-
-        With observers subscribed the serial loop runs instead, since each
-        observer must see every individual (delta, reason) advance.
-        """
-        if self._observers or not vector_enabled():
-            for delta in deltas:
-                self.advance(float(delta), reason)
-            return
-        arr = np.asarray(deltas, dtype=np.float64)
-        if arr.size == 0:
-            return
-        if float(arr.min()) < 0:
-            bad = float(arr[arr < 0][0])
-            raise ValueError(f"cannot advance clock by negative time: {bad}")
-        # left fold starting from the current reading, like the serial loop
-        self.now = float(
-            np.add.accumulate(np.concatenate(([self.now], arr)))[-1]
-        )
 
     def subscribe(self, observer: Callable[[float, str], None]) -> None:
         """Register *observer(delta, reason)* to be called on each advance."""

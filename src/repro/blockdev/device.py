@@ -12,7 +12,7 @@ import contextlib
 import dataclasses
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import (
     BadBlockSizeError,
@@ -21,7 +21,6 @@ from repro.errors import (
     ReadOnlyDeviceError,
 )
 from repro.blockdev.store import BlockStore, FrozenImage, make_store
-from repro.util.npgate import np, vector_enabled
 
 
 def _deep_span(name: str, **attrs):
@@ -85,13 +84,6 @@ class ExtentCosts:
     ``add_post_call``) — observability counters use these so that a fault
     raised mid-extent leaves the counters exactly where the per-block
     path would have.
-
-    A callback may carry a *batch* form — ``batch(n)`` must leave every
-    side effect exactly where ``n`` calls of the per-block form would
-    (counters are integral, so this is float-exact) and must not touch
-    any simulated clock. Schedules whose callbacks all have batch forms
-    are eligible for vectorized leaf replay (:func:`plan_batched_replay`);
-    a single batchless callback forces the serial loop.
     """
 
     __slots__ = ("pre", "post", "pre_calls", "post_calls")
@@ -99,8 +91,8 @@ class ExtentCosts:
     def __init__(self) -> None:
         self.pre: List[Tuple[object, float, str]] = []
         self.post: List[Tuple[object, float, str]] = []
-        self.pre_calls: List = []  # (per_block_fn, batch_fn | None) pairs
-        self.post_calls: List = []
+        self.pre_calls: List[Callable[[], None]] = []
+        self.post_calls: List[Callable[[], None]] = []
 
     @property
     def empty(self) -> bool:
@@ -114,22 +106,22 @@ class ExtentCosts:
     def add_post(self, clock, seconds: float, reason: str) -> None:
         self.post.append((clock, seconds, reason))
 
-    def add_pre_call(self, fn, batch=None) -> None:
-        self.pre_calls.append((fn, batch))
+    def add_pre_call(self, fn: Callable[[], None]) -> None:
+        self.pre_calls.append(fn)
 
-    def add_post_call(self, fn, batch=None) -> None:
-        self.post_calls.append((fn, batch))
+    def add_post_call(self, fn: Callable[[], None]) -> None:
+        self.post_calls.append(fn)
 
     def replay_pre(self) -> None:
         for clock, seconds, reason in self.pre:
             clock.advance(seconds, reason)
-        for fn, _ in self.pre_calls:
+        for fn in self.pre_calls:
             fn()
 
     def replay_post(self) -> None:
         for clock, seconds, reason in self.post:
             clock.advance(seconds, reason)
-        for fn, _ in self.post_calls:
+        for fn in self.post_calls:
             fn()
 
     def clone(self) -> "ExtentCosts":
@@ -160,101 +152,6 @@ def replay_per_block(costs: Optional["ExtentCosts"], count: int):
         costs.replay_pre()
         yield i
         costs.replay_post()
-
-
-#: Column marker for the leaf device's own per-block charge in a batched
-#: replay plan; its deltas arrive at run() time (they may be jittered).
-_DEVICE_SLOT = object()
-
-#: Below this many blocks a bare extent (no cost schedule) is cheaper to
-#: replay serially than to plan and vectorize — the plan's fixed overhead
-#: (array setup, the fold) beats a short Python loop only from roughly
-#: this size up. Purely a wall-clock heuristic: both paths are
-#: bit-identical, so leaf devices may consult it freely. Schedules with
-#: per-block charges amortize the overhead much sooner and skip the
-#: cutoff.
-BATCH_MIN_BLOCKS = 16
-
-
-def plan_batched_replay(costs: Optional["ExtentCosts"], device_clock=None):
-    """Build a vectorized replacement for the per-block replay loop.
-
-    The leaf device's serial loop runs, per block: the schedule's pre
-    charges and calls, the device's own latency charge (on *device_clock*,
-    when given), then the post charges and calls. This planner reproduces
-    that schedule's final state in one pass per clock: each clock's
-    charges are laid out as a (blocks, charges-per-block) matrix flattened
-    row-major — exactly the serial interleave order — and folded with
-    :meth:`SimClock.advance_batch`, which is a strict left fold and hence
-    bit-identical to the loop. Callbacks fire once via their batch forms.
-
-    Returns ``None`` whenever the serial loop cannot be replaced without
-    observable difference: vectorization disabled (no NumPy, or inside
-    :func:`~repro.util.npgate.reference_core`), a callback without a batch
-    form, or a clock with observers (observers must see every individual
-    advance). Callers fall back to the serial loop in that case.
-    """
-    if not vector_enabled():
-        return None
-    pre_calls: List = []
-    post_calls: List = []
-    cols: List[Tuple[object, object]] = []
-    if costs is not None:
-        for _, batch in costs.pre_calls:
-            if batch is None:
-                return None
-        for _, batch in costs.post_calls:
-            if batch is None:
-                return None
-        pre_calls = costs.pre_calls
-        post_calls = costs.post_calls
-        cols.extend((clock, seconds) for clock, seconds, _ in costs.pre)
-    if device_clock is not None:
-        cols.append((device_clock, _DEVICE_SLOT))
-    if costs is not None:
-        cols.extend((clock, seconds) for clock, seconds, _ in costs.post)
-    # group column indices by clock identity, preserving per-block order
-    groups: List[Tuple[object, List[Tuple[int, object]]]] = []
-    for j, (clock, value) in enumerate(cols):
-        if clock._observers:
-            return None
-        for existing, mine in groups:
-            if existing is clock:
-                mine.append((j, value))
-                break
-        else:
-            groups.append((clock, [(j, value)]))
-    return _BatchedReplay(groups, pre_calls, post_calls)
-
-
-class _BatchedReplay:
-    """One planned vectorized replay; ``run`` applies it for an extent."""
-
-    __slots__ = ("_groups", "_pre_calls", "_post_calls")
-
-    def __init__(self, groups, pre_calls, post_calls) -> None:
-        self._groups = groups
-        self._pre_calls = pre_calls
-        self._post_calls = post_calls
-
-    def run(self, count: int, device_deltas=None) -> None:
-        """Replay the schedule for *count* blocks in one vectorized pass.
-
-        *device_deltas* is the leaf device's per-block charge: a scalar,
-        a length-*count* array, or None when the plan has no device
-        column.
-        """
-        if count <= 0:
-            return
-        for clock, mine in self._groups:
-            arr = np.empty((count, len(mine)), dtype=np.float64)
-            for k, (_, value) in enumerate(mine):
-                arr[:, k] = device_deltas if value is _DEVICE_SLOT else value
-            clock.advance_batch(arr.reshape(-1))
-        for _, batch in self._pre_calls:
-            batch(count)
-        for _, batch in self._post_calls:
-            batch(count)
 
 
 # Depth of nested recovery_io() sections. While positive, every device
@@ -514,7 +411,7 @@ class BlockDevice(ABC):
         fault plans, tracers stamping per-block completion, genuinely
         per-block media models) loop via :func:`replay_per_block`;
         bulk-backed devices serve one store slice and replay *costs*
-        batched.
+        once per block.
         """
 
     @abstractmethod
@@ -653,12 +550,8 @@ class RAMBlockDevice(BlockDevice):
         return self._store
 
     def _replay_costs(self, costs: Optional[ExtentCosts], count: int) -> None:
-        """Replay *costs* for *count* blocks, batched when possible."""
+        """Replay *costs* for *count* blocks, one block at a time."""
         if costs is None or costs.empty:
-            return
-        plan = plan_batched_replay(costs)
-        if plan is not None:
-            plan.run(count)
             return
         for _ in range(count):
             costs.replay_pre()

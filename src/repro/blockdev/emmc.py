@@ -17,16 +17,13 @@ from typing import Optional
 from repro import obs
 from repro.blockdev.clock import SimClock
 from repro.blockdev.device import (
-    BATCH_MIN_BLOCKS,
     DEFAULT_BLOCK_SIZE,
     ExtentCosts,
     RAMBlockDevice,
-    plan_batched_replay,
 )
 from repro.blockdev.latency import FREE, LatencyModel
 from repro.blockdev.store import BlockStore
 from repro.crypto.rng import Rng
-from repro.util.npgate import np
 
 
 class EMMCDevice(RAMBlockDevice):
@@ -63,23 +60,6 @@ class EMMCDevice(RAMBlockDevice):
         scale = 1.0 + self._jitter * (2.0 * self._jitter_rng.random() - 1.0)
         return cost * scale
 
-    def _batched_costs(self, first: float, rest: float, count: int):
-        """Per-block cost vector for an extent, jitter included.
-
-        RNG draws happen serially in block order (the jitter stream must
-        stay aligned with the per-block path) and the jitter arithmetic is
-        applied elementwise with the exact operation sequence of
-        :meth:`_jittered`, so every element is bit-identical to the scalar
-        computation.
-        """
-        deltas = np.full(count, rest, dtype=np.float64)
-        deltas[0] = first
-        if not self._jitter:
-            return deltas
-        random = self._jitter_rng.random
-        draws = np.array([random() for _ in range(count)], dtype=np.float64)
-        return deltas * (1.0 + self._jitter * (2.0 * draws - 1.0))
-
     def _read_extent(
         self, start: int, count: int, costs: Optional[ExtentCosts]
     ) -> bytes:
@@ -92,21 +72,10 @@ class EMMCDevice(RAMBlockDevice):
         # Only the first block of the extent can pay the random-access
         # penalty; the rest are sequential by construction. Charges are
         # replayed per block so the clock matches the per-block path bit
-        # for bit (float addition order matters) — either vectorized via a
-        # batched-replay plan (a strict left fold, still bit-identical) or
-        # by the serial reference loop below.
+        # for bit (float addition order matters).
         sequential = self._last_read_end == start
         self._last_read_end = start + count
         bs = self.block_size
-        plan = None
-        if count >= BATCH_MIN_BLOCKS or (costs is not None and not costs.empty):
-            plan = plan_batched_replay(costs, self.clock)
-        if plan is not None:
-            first, rest = self.latency.read_extent_costs(bs, count, sequential)
-            deltas = self._batched_costs(first, rest, count)
-            plan.run(count, deltas)
-            obs.observe_latency_batch("emmc.read", deltas)
-            return self._store.read_extent(start, count)
         advance = self.clock.advance
         observe = obs.observe_latency
         replay = costs is not None and not costs.empty
@@ -154,16 +123,6 @@ class EMMCDevice(RAMBlockDevice):
         bs = self.block_size
         count = len(data) // bs
         self._last_write_end = start + count
-        plan = None
-        if count >= BATCH_MIN_BLOCKS or (costs is not None and not costs.empty):
-            plan = plan_batched_replay(costs, self.clock)
-        if plan is not None:
-            first, rest = self.latency.write_extent_costs(bs, count, sequential)
-            deltas = self._batched_costs(first, rest, count)
-            plan.run(count, deltas)
-            obs.observe_latency_batch("emmc.write", deltas)
-            self._store.write_extent(start, data)
-            return
         advance = self.clock.advance
         observe = obs.observe_latency
         replay = costs is not None and not costs.empty

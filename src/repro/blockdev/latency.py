@@ -10,7 +10,6 @@ the mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -43,31 +42,6 @@ class LatencyModel:
         if not sequential:
             cost += self.random_write_penalty_s
         return cost
-
-    def read_extent_costs(
-        self, nbytes: int, count: int, sequential: bool
-    ) -> "Tuple[float, float]":
-        """Per-block read costs for a *count*-block extent: (first, rest).
-
-        Only the first block of an extent can pay the random-access
-        penalty; every later block continues where its predecessor ended
-        and is sequential by construction. Batched eMMC evaluation builds
-        its whole per-block cost vector from these two values instead of
-        calling :meth:`read_cost` once per block.
-        """
-        return (
-            self.read_cost(nbytes, sequential),
-            self.read_cost(nbytes, True),
-        )
-
-    def write_extent_costs(
-        self, nbytes: int, count: int, sequential: bool
-    ) -> "Tuple[float, float]":
-        """Per-block write costs for an extent: (first, rest)."""
-        return (
-            self.write_cost(nbytes, sequential),
-            self.write_cost(nbytes, True),
-        )
 
     @property
     def sequential_read_bandwidth(self) -> float:

@@ -7,7 +7,7 @@ Usage::
     python -m repro table2 [--trials N]
     python -m repro game [--games N] [--workload-trace FILE]
     python -m repro sidechannel
-    python -m repro crashsim [--scenario NAME] [--stride N]
+    python -m repro crashsim [--scenario NAME] [--stride N] [--json-dir DIR]
     python -m repro workload [--personality NAME] [--trace-out FILE]
     python -m repro replay FILE [--setting NAME]
     python -m repro fleet [--devices N] [--processes N] [--stream-dir DIR]
@@ -287,6 +287,8 @@ def _cmd_crashsim(args: argparse.Namespace) -> None:
             ["scenario", "writes", "swept", "failed", "recovery rate"], rows
         )
     )
+    if args.json_dir is None:
+        return
     payload = obs.bench_payload(
         "crashsim",
         serialized,
@@ -858,7 +860,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=0,
         help="cap the number of swept indices (0 = no cap)",
     )
-    _add_json_dir(p)
+    # no default directory: the committed BENCH_crashsim.json baseline is
+    # the bench-stride sweep of benchmarks/test_crash_recovery.py, and a
+    # default run of this exhaustive sweep must not overwrite it
+    p.add_argument(
+        "--json-dir", default=None,
+        help="directory for BENCH_crashsim.json (default: write none)",
+    )
     p.set_defaults(func=_cmd_crashsim)
 
     p = sub.add_parser(

@@ -71,11 +71,9 @@ class CryptTarget(Target):
         if self._clock is not None and self._byte_cost:
             costs.add_post(self._clock, bs * self._byte_cost, "crypto")
         # counters tick per block via the schedule so a fault raised
-        # mid-extent leaves them exactly where the per-block path would;
-        # the batch form covers n blocks in one exact integral add
+        # mid-extent leaves them exactly where the per-block path would
         costs.add_post_call(
-            lambda: obs.counter_add("crypt.bytes_decrypted", bs),
-            batch=lambda n: obs.counter_add("crypt.bytes_decrypted", bs * n),
+            lambda: obs.counter_add("crypt.bytes_decrypted", bs)
         )
         ciphertext = self._device.read_blocks(block, count, costs)
         return self._cipher.decrypt_extent(
@@ -100,8 +98,7 @@ class CryptTarget(Target):
         if self._clock is not None and self._byte_cost:
             costs.add_pre(self._clock, bs * self._byte_cost, "crypto")
         costs.add_pre_call(
-            lambda: obs.counter_add("crypt.bytes_encrypted", bs),
-            batch=lambda n: obs.counter_add("crypt.bytes_encrypted", bs * n),
+            lambda: obs.counter_add("crypt.bytes_encrypted", bs)
         )
         ciphertext = self._cipher.encrypt_extent(
             self._sector_of(block), data, bs

@@ -41,7 +41,6 @@ from repro.obs.recorder import (
     mark,
     observe,
     observe_latency,
-    observe_latency_batch,
     publish_io,
     span,
 )
@@ -75,7 +74,6 @@ from repro.obs.chrometrace import (
 )
 from repro.obs.flame import folded_stacks, parse_folded, render_folded
 from repro.obs.sketch import (
-    HistogramSketch,
     MetricSnapshot,
     QuantileSketch,
     median,
@@ -128,7 +126,6 @@ __all__ = [
     "mark",
     "observe",
     "observe_latency",
-    "observe_latency_batch",
     "publish_io",
     "span",
     "attribution",
@@ -154,7 +151,6 @@ __all__ = [
     "render_span_aggregates",
     "render_span_tree",
     "write_bench_json",
-    "HistogramSketch",
     "MetricSnapshot",
     "QuantileSketch",
     "median",

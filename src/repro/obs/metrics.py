@@ -13,8 +13,6 @@ import math
 from bisect import bisect_left
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.util.npgate import np, vector_enabled
-
 #: Default latency buckets in seconds: 1-2-5 decades from 1 µs to 10 s.
 #: Wide enough for everything the stack models, from a single eMMC read
 #: (~100 µs) to a whole-partition initialization pass (minutes land in the
@@ -69,8 +67,7 @@ class Histogram:
     """
 
     __slots__ = (
-        "name", "_bounds", "_bounds_cache", "_counts", "count", "total",
-        "_min", "_max",
+        "name", "_bounds", "_counts", "count", "total", "_min", "_max",
     )
 
     def __init__(
@@ -83,7 +80,6 @@ class Histogram:
         if any(b <= a for a, b in zip(self._bounds, self._bounds[1:])):
             raise ValueError("bucket bounds must be strictly increasing")
         self._counts = [0] * (len(self._bounds) + 1)
-        self._bounds_cache = None  # lazily built ndarray of _bounds
         self.count = 0
         self.total = 0.0
         self._min = math.inf
@@ -98,43 +94,6 @@ class Histogram:
         if value > self._max:
             self._max = value
 
-    def observe_batch(self, values) -> None:
-        """Observe many values at once, identically to serial ``observe``.
-
-        Bucketing uses ``np.searchsorted(..., side="left")`` (the same
-        rank function as ``bisect_left``) and the running total is folded
-        with ``np.add.accumulate`` — a strict left fold — so ``total`` is
-        bit-identical to observing each value in order. Falls back to the
-        serial loop when vectorization is disabled.
-        """
-        if not vector_enabled():
-            for value in values:
-                self.observe(float(value))
-            return
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.size == 0:
-            return
-        buckets = np.searchsorted(self._bounds_arr, arr, side="left")
-        for index, n in zip(*np.unique(buckets, return_counts=True)):
-            self._counts[int(index)] += int(n)
-        self.count += int(arr.size)
-        self.total = float(
-            np.add.accumulate(np.concatenate(([self.total], arr)))[-1]
-        )
-        lo = float(arr.min())
-        if lo < self._min:
-            self._min = lo
-        hi = float(arr.max())
-        if hi > self._max:
-            self._max = hi
-
-    @property
-    def _bounds_arr(self):
-        arr = self._bounds_cache
-        if arr is None:
-            arr = self._bounds_cache = np.asarray(self._bounds, dtype=np.float64)
-        return arr
-
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold *other* into this histogram exactly, in place.
 
@@ -142,10 +101,7 @@ class Histogram:
         bucket by bucket (no re-bucketing, so nothing is lost), min/max
         take the extremes, and the running totals add. Returns ``self``.
         Counts, min and max merge exactly order-independently; the float
-        ``total`` is a single IEEE addition per merge — when shard-merge
-        order must be *bit*-unobservable, merge through
-        :class:`repro.obs.sketch.HistogramSketch`, which carries an exact
-        rational total.
+        ``total`` is a single IEEE addition per merge.
         """
         if other._bounds != self._bounds:
             raise ValueError(

@@ -14,14 +14,15 @@ whose ``+Inf`` entry equals ``_count``). CI scrapes the live daemon and
 round-trips the text through it, so a renderer regression fails the build
 without adding a Prometheus binary to the image.
 
-Naming: dotted registry names are flattened (``server.requests.GET`` →
-``repro_server_requests_GET``). Flattening can collide (``a.b`` vs
-``a_b``); a collision raises :class:`~repro.errors.ObsError` rather than
-silently merging two metrics into one series. The namespace prefix is the
-caller's determinism marker — the daemon renders its sim-deterministic
-registry under ``repro_`` and its wall-clock registry under
-``repro_wall_``, so "strip every ``repro_wall_`` line" is a grep, not a
-schema lookup.
+Naming: dotted registry names are flattened
+(``server.requests.healthz.GET.2xx`` →
+``repro_server_requests_healthz_GET_2xx``). Flattening can collide
+(``a.b`` vs ``a_b``); a collision raises :class:`~repro.errors.ObsError`
+rather than silently merging two metrics into one series. The namespace
+prefix is the caller's determinism marker — the daemon renders its
+sim-deterministic registry under ``repro_`` and its wall-clock registry
+under ``repro_wall_``, so "strip every ``repro_wall_`` line" is a grep,
+not a schema lookup.
 """
 
 from __future__ import annotations

@@ -256,10 +256,6 @@ class PDEServer:
                 route = route_template(path)
                 trace = self._mint_trace(headers, method, route)
                 started = time.monotonic()
-                # deprecated: per-method totals predate the per-route
-                # counters below; kept one release for dashboards keyed
-                # on them (see docs/server.md)
-                self.metrics.counter(f"server.requests.{method}").add(1)
                 if method == "GET" and self._telemetry_device(path) is not None:
                     status, sent = await self._stream_telemetry(
                         writer, path, query, trace

@@ -164,6 +164,16 @@ class TestExecution:
         assert payload["results"]["metadata"]["attempted"] == 3
         assert "thin.meta.area-written" in payload["marks"]
 
+    def test_crashsim_writes_no_json_by_default(self, capsys, tmp_path,
+                                                monkeypatch):
+        # the committed BENCH_crashsim.json comes from the bench suite's
+        # sampled sweep; a default CLI sweep must leave it alone
+        monkeypatch.chdir(tmp_path)
+        assert main(["crashsim", "--scenario", "metadata", "--stride", "4",
+                     "--limit", "1"]) == 0
+        assert "recovery rate" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
     def test_workload_records_and_replay_reuses_trace(self, capsys, tmp_path):
         trace_path = tmp_path / "mix.trace"
         assert main(["workload", "--personality", "messaging", "--ops", "25",

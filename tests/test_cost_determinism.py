@@ -1,214 +1,19 @@
-"""Float-determinism of the batched cost-replay machinery.
+"""Crash points land at the same write index on either core.
 
-The batched replay plan folds each clock's per-block charges with
-``np.add.accumulate`` — a strict left fold, the same operation sequence
-as the serial per-block loop — so every simulated-clock reading must be
-*bit-identical* between the two paths, not merely close. These tests
-enforce that at each level of the machinery (clock fold, histogram fold,
-replay plan, jittered eMMC costs) over large randomized inputs, and
-spot-check that fault-injection crash points land at unchanged write
-indices under the vectorized core.
-
-Nothing here uses approximate comparison: every assertion is ``==`` on
-floats. A failure means the vectorized core changed summation order.
+An armed :class:`FaultyBlockDevice` decomposes every extent per block,
+so a power cut must interrupt the same write index, tear the same
+sectors and leave the simulated clock at the same reading whether the
+NumPy core or the pure-Python reference core runs underneath. Every
+assertion compares with ``==``: a failure means one core changed the
+order of writes or clock charges.
 """
-
-import math
-import random
 
 import pytest
 
 from repro.blockdev import EMMCDevice, LatencyModel, SimClock
-from repro.blockdev.device import ExtentCosts, plan_batched_replay
 from repro.blockdev.faults import FaultPlan, FaultyBlockDevice
-from repro.crypto.rng import Rng
 from repro.errors import PowerCutError
-from repro.obs.metrics import Histogram
-from repro.util.npgate import HAVE_NUMPY, reference_core
-
-#: Delta magnitudes spanning the scales the latency models emit, chosen
-#: to provoke rounding differences if the fold order ever changes
-#: (microseconds next to hundreds of seconds do not associate).
-_SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3)
-
-
-def _random_deltas(rng: random.Random, n: int):
-    return [rng.random() * rng.choice(_SCALES) for _ in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# SimClock.advance_batch
-# ---------------------------------------------------------------------------
-
-
-def test_advance_batch_is_a_strict_left_fold():
-    """1k random delta vectors: batched == serial, bit for bit."""
-    rng = random.Random(1337)
-    for _ in range(1000):
-        deltas = _random_deltas(rng, rng.randint(0, 64))
-        start = rng.random() * rng.choice(_SCALES)
-
-        serial = SimClock()
-        serial.advance(start, "seed")
-        for d in deltas:
-            serial.advance(d, "x")
-
-        batched = SimClock()
-        batched.advance(start, "seed")
-        batched.advance_batch(deltas, "x")
-
-        assert batched.now == serial.now  # exact, not approx
-
-
-def test_advance_batch_empty_and_negative():
-    clock = SimClock()
-    clock.advance_batch([], "nothing")
-    assert clock.now == 0.0
-    with pytest.raises(ValueError):
-        clock.advance_batch([1.0, -0.5], "bad")
-
-
-def test_advance_batch_with_observers_stays_serial():
-    """Observed clocks fall back to per-delta advance (same result)."""
-    seen = []
-    clock = SimClock()
-    clock.subscribe(lambda delta, reason: seen.append(delta))
-    deltas = [0.25, 0.5, 0.125]
-    clock.advance_batch(deltas, "obs")
-    assert seen == deltas
-    assert clock.now == 0.25 + 0.5 + 0.125
-
-
-# ---------------------------------------------------------------------------
-# ExtentCosts replay plans
-# ---------------------------------------------------------------------------
-
-
-def _random_plan_case(rng: random.Random):
-    """One random extent plan: clocks, charges, device deltas, counters."""
-    nclocks = rng.randint(1, 3)
-    clocks = [SimClock() for _ in range(nclocks)]
-    device_clock = clocks[0]
-    costs = ExtentCosts()
-    for _ in range(rng.randint(0, 4)):
-        clock = rng.choice(clocks)
-        costs.add_pre(clock, rng.random() * rng.choice(_SCALES), "pre")
-    for _ in range(rng.randint(0, 4)):
-        clock = rng.choice(clocks)
-        costs.add_post(clock, rng.random() * rng.choice(_SCALES), "post")
-    counters = {"pre": 0, "post": 0}
-    costs.add_pre_call(
-        lambda: counters.__setitem__("pre", counters["pre"] + 1),
-        batch=lambda n: counters.__setitem__("pre", counters["pre"] + n),
-    )
-    costs.add_post_call(
-        lambda: counters.__setitem__("post", counters["post"] + 1),
-        batch=lambda n: counters.__setitem__("post", counters["post"] + n),
-    )
-    count = rng.randint(1, 48)
-    deltas = _random_deltas(rng, count)
-    return clocks, device_clock, costs, counters, count, deltas
-
-
-def _serial_replay(costs, device_clock, count, deltas):
-    for i in range(count):
-        costs.replay_pre()
-        device_clock.advance(deltas[i], "device")
-        costs.replay_post()
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="plans require the numpy core")
-def test_replay_plan_matches_serial_over_1k_random_plans():
-    """1k random extent plans: plan.run == serial replay on every clock."""
-    rng = random.Random(20260808)
-    for case in range(1000):
-        seed = rng.randint(0, 2**31)
-
-        case_rng = random.Random(seed)
-        clocks_s, dev_s, costs_s, counters_s, count, deltas = _random_plan_case(
-            case_rng
-        )
-        _serial_replay(costs_s, dev_s, count, deltas)
-
-        case_rng = random.Random(seed)
-        clocks_b, dev_b, costs_b, counters_b, count2, deltas2 = _random_plan_case(
-            case_rng
-        )
-        assert count2 == count and deltas2 == deltas
-        plan = plan_batched_replay(costs_b, dev_b)
-        assert plan is not None, "plan must build for callback-batched costs"
-        plan.run(count, deltas)
-
-        for cs, cb in zip(clocks_s, clocks_b):
-            assert cb.now == cs.now, (case, seed)
-        assert counters_b == counters_s == {"pre": count, "post": count}
-
-
-def test_replay_plan_refuses_unbatchable_costs():
-    """No batch form, or an observed clock -> no plan (serial fallback)."""
-    costs = ExtentCosts()
-    costs.add_pre_call(lambda: None)  # no batch form
-    assert plan_batched_replay(costs, SimClock()) is None
-
-    observed = SimClock()
-    observed.subscribe(lambda delta, reason: None)
-    costs2 = ExtentCosts()
-    costs2.add_pre(observed, 1e-6, "x")
-    assert plan_batched_replay(costs2, SimClock()) is None
-
-    with reference_core():
-        costs3 = ExtentCosts()
-        costs3.add_pre(SimClock(), 1e-6, "x")
-        assert plan_batched_replay(costs3, SimClock()) is None
-
-
-# ---------------------------------------------------------------------------
-# Histogram batch observation
-# ---------------------------------------------------------------------------
-
-
-def test_histogram_observe_batch_matches_serial():
-    rng = random.Random(7)
-    for _ in range(200):
-        values = _random_deltas(rng, rng.randint(0, 200))
-        serial = Histogram("lat")
-        for v in values:
-            serial.observe(v)
-        batched = Histogram("lat")
-        batched.observe_batch(values)
-        assert batched.as_dict() == serial.as_dict()
-        assert batched.total == serial.total  # exact float equality
-
-
-# ---------------------------------------------------------------------------
-# eMMC jittered batched costs
-# ---------------------------------------------------------------------------
-
-
-def test_jittered_extent_costs_bit_identical():
-    """Batched jitter arithmetic == scalar _jittered, same RNG stream."""
-    for seed in range(25):
-        fast = EMMCDevice(
-            128, clock=SimClock(), latency=LatencyModel(),
-            jitter=0.3, jitter_rng=Rng(seed),
-        )
-        slow = EMMCDevice(
-            128, clock=SimClock(), latency=LatencyModel(),
-            jitter=0.3, jitter_rng=Rng(seed),
-        )
-        payload = bytes(64 * fast.block_size)
-        fast.write_blocks(0, payload)
-        fast.read_blocks(0, 64)
-        with reference_core():
-            slow.write_blocks(0, payload)
-            slow.read_blocks(0, 64)
-        assert fast.clock.now == slow.clock.now
-        assert math.isclose(fast.clock.now, slow.clock.now, rel_tol=0.0)
-
-
-# ---------------------------------------------------------------------------
-# Crash-point spot-check
-# ---------------------------------------------------------------------------
+from repro.util.npgate import reference_core
 
 
 def _crash_indices(cut_after: int, use_reference: bool):
@@ -244,6 +49,6 @@ def test_crash_point_indices_unchanged_by_core(cut_after):
     The vectorized core must not change *when* a fault fires: an armed
     FaultyBlockDevice decomposes extents per block, so the interrupted
     write index, the torn-write sector count and the clock at the cut
-    are identical with and without NumPy batching underneath.
+    are identical with and without the NumPy core underneath.
     """
     assert _crash_indices(cut_after, False) == _crash_indices(cut_after, True)

@@ -8,7 +8,7 @@ extent path and one forced through the legacy per-block decomposition
 via :func:`per_block_baseline`, and require bit-exact agreement.
 
 The vectorized NumPy core adds a second axis to the same invariant: the
-batched keystream / cost-replay / allocator code must be unobservable
+batched keystream and array-backed allocator code must be unobservable
 next to the pure-Python reference core (:func:`reference_core`). The
 ``*_core_equivalence`` tests run every stack through the full cross
 product {numpy, reference} x {extent, per-block} and require one single
@@ -215,9 +215,9 @@ def test_ext4_extent_equivalence(seed, journal, ops):
 def test_block_stack_core_equivalence(seed, ops):
     """crypt-thin-eMMC under {numpy, reference} x {extent, per-block}.
 
-    The vectorized keystream engine, batched cost replay and array-backed
-    allocator must land on the same bytes, stats and simulated clock as
-    the pure-Python reference — one signature across all four legs.
+    The vectorized keystream engine and array-backed allocator must land
+    on the same bytes, stats and simulated clock as the pure-Python
+    reference — one signature across all four legs.
     """
     legs = []
     for use_reference in (False, True):

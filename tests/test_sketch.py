@@ -17,7 +17,6 @@ from repro.obs.metrics import Histogram
 from repro.obs.sketch import (
     DEFAULT_ALPHA,
     MIN_TRACKED,
-    HistogramSketch,
     MetricSnapshot,
     QuantileSketch,
     median,
@@ -168,47 +167,6 @@ def _hist(values, name="h"):
     for value in values:
         hist.observe(value)
     return hist
-
-
-class TestHistogramSketch:
-    @settings(max_examples=60, deadline=None)
-    @given(a=hist_values, b=hist_values, c=hist_values)
-    def test_merge_associative_and_commutative(self, a, b, c):
-        def canon(sketch):
-            return json.dumps(sketch.to_dict(), sort_keys=True)
-
-        sa, sb, sc = (
-            HistogramSketch.from_histogram(_hist(v)) for v in (a, b, c)
-        )
-        left = HistogramSketch.from_dict(sa.to_dict())
-        left.merge(sb).merge(sc)
-        right_tail = HistogramSketch.from_dict(sb.to_dict()).merge(sc)
-        right = HistogramSketch.from_dict(sa.to_dict()).merge(right_tail)
-        assert canon(left) == canon(right)
-        ab = HistogramSketch.from_dict(sa.to_dict()).merge(sb)
-        ba = HistogramSketch.from_dict(sb.to_dict()).merge(sa)
-        assert canon(ab) == canon(ba)
-
-    @settings(max_examples=40, deadline=None)
-    @given(a=hist_values, b=hist_values)
-    def test_matches_live_histogram_merge(self, a, b):
-        sketch = HistogramSketch.from_histogram(_hist(a))
-        sketch.merge(HistogramSketch.from_histogram(_hist(b)))
-        live = _hist(a).merge(_hist(b))
-        back = sketch.as_histogram()
-        assert back._counts == live._counts
-        assert back.count == live.count
-        assert back.minimum == live.minimum
-        assert back.maximum == live.maximum
-        assert back.total == pytest.approx(live.total)
-        assert back.p50 == pytest.approx(live.p50)
-        assert back.p99 == pytest.approx(live.p99)
-
-    def test_rejects_bound_mismatch(self):
-        a = HistogramSketch.from_histogram(Histogram("a"))
-        b = HistogramSketch.from_histogram(Histogram("b", bounds=(1.0, 2.0)))
-        with pytest.raises(ObsError):
-            a.merge(b)
 
 
 class TestHistogramMerge:
