@@ -53,7 +53,6 @@ from repro.obs.export import (
     SCHEMA_VERSION,
     bench_payload,
     dump_json,
-    merge_recorder_payloads,
     recorder_payload,
     render_metrics,
     render_span_aggregates,
@@ -145,7 +144,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "bench_payload",
     "dump_json",
-    "merge_recorder_payloads",
     "recorder_payload",
     "render_metrics",
     "render_span_aggregates",

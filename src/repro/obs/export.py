@@ -4,6 +4,9 @@ Everything a :class:`~repro.obs.recorder.Recorder` collected can be turned
 into (a) a machine-readable, schema-versioned dict for the bench
 telemetry's ``BENCH_<experiment>.json`` files, or (b) text tables / span
 trees for the ``repro trace`` and ``repro metrics`` CLI commands.
+:class:`PayloadAccumulator` folds per-device payloads into a fleet's
+merged section, one payload at a time, for
+:func:`repro.obs.stream.reduce_spools`.
 
 Payloads are deterministic by construction: they contain only sim-clock
 timestamps and seeded measurements, never wall-clock time, so regenerating
@@ -14,11 +17,11 @@ fail on uncommitted drift in ``benchmarks/results/``).
 from __future__ import annotations
 
 import json
-import math
 import pathlib
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ObsError
+from repro.obs.metrics import Histogram
 from repro.obs.recorder import Recorder, SpanRecord
 
 #: Version of the BENCH_*.json schema. Bump on incompatible layout changes.
@@ -74,95 +77,22 @@ def bench_payload(
     return payload
 
 
-class _HistogramFold:
-    """Incremental fold of serialized histogram dicts for one metric name.
-
-    Accumulates counts, totals, extremes and labeled buckets one shard at
-    a time — the same left-to-right float additions the old list-then-sum
-    merge performed, so folding incrementally is bit-identical to folding
-    from a materialized list. Percentiles are re-estimated at
-    :meth:`result` time from the merged labeled buckets with the same
-    interpolation :class:`~repro.obs.metrics.Histogram` uses, clamped to
-    the merged min/max (the ``inf`` overflow bucket clamps to the max).
-    """
-
-    __slots__ = ("count", "total", "minimum", "maximum", "buckets")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-        self.buckets: Dict[str, int] = {}
-
-    def add(self, hist: Dict[str, object]) -> None:
-        count = int(hist["count"])
-        self.count += count
-        self.total += float(hist["mean_s"]) * count
-        if count:
-            low = float(hist["min_s"])
-            if low < self.minimum:
-                self.minimum = low
-            high = float(hist["max_s"])
-            if high > self.maximum:
-                self.maximum = high
-        for label, n in hist.get("buckets", {}).items():
-            self.buckets[label] = self.buckets.get(label, 0) + int(n)
-
-    def result(self) -> Dict[str, object]:
-        if self.count == 0:
-            return {
-                "count": 0, "mean_s": 0.0, "min_s": 0.0, "max_s": 0.0,
-                "p50_s": 0.0, "p95_s": 0.0, "p99_s": 0.0, "buckets": {},
-            }
-
-        def bound(label: str) -> float:
-            return math.inf if label == "inf" else float(label)
-
-        ordered = sorted(self.buckets.items(), key=lambda item: bound(item[0]))
-        minimum, maximum, count = self.minimum, self.maximum, self.count
-
-        def percentile(q: float) -> float:
-            target = q * count
-            cumulative = 0
-            previous_bound = minimum
-            for label, n in ordered:
-                cumulative += n
-                hi = min(bound(label), maximum)
-                if cumulative >= target:
-                    fraction = (target - (cumulative - n)) / n
-                    value = previous_bound + fraction * (hi - previous_bound)
-                    return min(max(value, minimum), maximum)
-                previous_bound = hi
-            return maximum  # pragma: no cover - cumulative always reaches
-
-        return {
-            "count": count,
-            "mean_s": self.total / count,
-            "min_s": minimum,
-            "max_s": maximum,
-            "p50_s": percentile(0.50),
-            "p95_s": percentile(0.95),
-            "p99_s": percentile(0.99),
-            "buckets": {label: n for label, n in ordered},
-        }
-
-
 class PayloadAccumulator:
     """Incremental merge of per-device :func:`recorder_payload` dicts.
 
     The streaming reducer's core: :meth:`add` folds one device's payload
     at a time, so merging N devices needs memory proportional to the
     metric-name universe (plus one float per device per gauge for the
-    ``gauges_per_device`` section), never to N full payloads.
-    :func:`merge_recorder_payloads` is this class applied to a
-    materialized list — the two produce byte-identical output because the
-    accumulator performs the identical float additions in the identical
-    order.
+    ``gauges_per_device`` section), never to N full payloads. It is the
+    one fold of fleet telemetry, driven by
+    :func:`repro.obs.stream.reduce_spools`.
 
     Counters, marks, I/O tallies and span counts/totals are summed;
-    span/histogram means are recomputed from the merged sums; histogram
-    percentiles are re-estimated from the merged buckets; gauges
+    span/histogram means are recomputed from the merged sums; each
+    serialized histogram is rebuilt into a
+    :class:`~repro.obs.metrics.Histogram` and folded with
+    :meth:`~repro.obs.metrics.Histogram.merge`, so merged percentiles use
+    the same interpolation as every device's own; gauges
     (point-in-time values such as bitmap occupancy) are averaged across
     the devices that reported them, with per-device values preserved in
     ``gauges_per_device``.
@@ -173,14 +103,10 @@ class PayloadAccumulator:
         self._marks: Dict[str, int] = {}
         self._counters: Dict[str, float] = {}
         self._gauge_values: Dict[str, List[float]] = {}
-        self._histograms: Dict[str, _HistogramFold] = {}
+        self._histograms: Dict[str, Histogram] = {}
         self._io_events = 0
         self._io_by_op: Dict[str, int] = {}
         self._added = 0
-
-    @property
-    def merged_count(self) -> int:
-        return self._added
 
     def add(self, payload: Dict[str, object]) -> None:
         """Fold one device's payload; refuses cross-schema merges."""
@@ -206,10 +132,11 @@ class PayloadAccumulator:
         for name, value in metrics.get("gauges", {}).items():
             self._gauge_values.setdefault(name, []).append(value)
         for name, hist in metrics.get("histograms", {}).items():
-            fold = self._histograms.get(name)
-            if fold is None:
-                fold = self._histograms[name] = _HistogramFold()
-            fold.add(hist)
+            shard = Histogram.from_dict(name, hist)
+            if name in self._histograms:
+                self._histograms[name].merge(shard)
+            else:
+                self._histograms[name] = shard
         io = payload.get("io", {})
         self._io_events += io.get("events", 0)
         for op, n in io.get("by_op", {}).items():
@@ -241,29 +168,12 @@ class PayloadAccumulator:
                     for name, values in sorted(self._gauge_values.items())
                 },
                 "histograms": {
-                    name: fold.result()
-                    for name, fold in sorted(self._histograms.items())
+                    name: hist.as_dict()
+                    for name, hist in sorted(self._histograms.items())
                 },
             },
             "io": {"events": self._io_events, "by_op": dict(self._io_by_op)},
         }
-
-
-def merge_recorder_payloads(
-    payloads: Sequence[Dict[str, object]]
-) -> Dict[str, object]:
-    """Merge per-device :func:`recorder_payload` dicts into one aggregate.
-
-    This is how the legacy (hold-everything) fleet path folds N
-    materialized observations into a single report; the streaming path
-    (:func:`repro.obs.stream.reduce_spools`) drives the same
-    :class:`PayloadAccumulator` one spooled payload at a time and produces
-    byte-identical output.
-    """
-    accumulator = PayloadAccumulator()
-    for payload in payloads:
-        accumulator.add(payload)
-    return accumulator.result()
 
 
 def dump_json(payload: Dict[str, object]) -> str:

@@ -13,6 +13,8 @@ import math
 from bisect import bisect_left
 from typing import Dict, Iterable, Optional, Tuple
 
+from repro.errors import ObsError
+
 #: Default latency buckets in seconds: 1-2-5 decades from 1 µs to 10 s.
 #: Wide enough for everything the stack models, from a single eMMC read
 #: (~100 µs) to a whole-partition initialization pass (minutes land in the
@@ -20,6 +22,12 @@ from typing import Dict, Iterable, Optional, Tuple
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = tuple(
     m * 10.0 ** e for e in range(-6, 1) for m in (1.0, 2.0, 5.0)
 ) + (10.0,)
+
+#: ``bucket_counts()`` label -> bucket index for the default bounds.
+_DEFAULT_LABEL_INDEX: Dict[str, int] = {
+    f"{b:g}": i for i, b in enumerate(DEFAULT_LATENCY_BUCKETS)
+}
+_DEFAULT_LABEL_INDEX["inf"] = len(DEFAULT_LATENCY_BUCKETS)
 
 
 class Counter:
@@ -93,6 +101,31 @@ class Histogram:
             self._min = value
         if value > self._max:
             self._max = value
+
+    @classmethod
+    def from_dict(cls, name: str, data: Dict[str, object]) -> "Histogram":
+        """Rebuild a default-bucket histogram from its :meth:`as_dict` form.
+
+        Bucket labels map back to bounds through the same ``f"{b:g}"``
+        formatting :meth:`bucket_counts` writes (``float(label)`` would
+        not round-trip: the ``5e-06`` bound is ``4.9999999999999996e-06``),
+        and ``total`` is rebuilt as ``mean_s * count``. Raises
+        :class:`~repro.errors.ObsError` on an unknown bucket label.
+        """
+        hist = cls(name)
+        for label, n in data.get("buckets", {}).items():
+            index = _DEFAULT_LABEL_INDEX.get(label)
+            if index is None:
+                raise ObsError(
+                    f"histogram {name!r} has unknown bucket label {label!r}"
+                )
+            hist._counts[index] += int(n)
+        hist.count = int(data["count"])
+        hist.total = float(data["mean_s"]) * hist.count
+        if hist.count:
+            hist._min = float(data["min_s"])
+            hist._max = float(data["max_s"])
+        return hist
 
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold *other* into this histogram exactly, in place.

@@ -1,11 +1,10 @@
 """Streaming fleet telemetry: ``telemetry.v1`` spools and the reducer.
 
-The bounded-memory replacement for hold-everything-then-merge fleet
-telemetry. Each fleet worker appends schema-versioned JSONL events to a
-per-shard **spool file** while its device runs; any number of spools can
-then be folded into the same merged percentile telemetry the in-RAM path
-produces — incrementally, one payload at a time — and tailed live by
-``python -m repro top`` while the fleet is still in flight.
+The one representation of fleet telemetry. Each fleet worker appends
+schema-versioned JSONL events to a per-shard **spool file** while its
+device runs; any number of spools can then be folded into merged
+percentile telemetry — incrementally, one payload at a time — and tailed
+live by ``python -m repro top`` while the fleet is still in flight.
 
 Event stream (one JSON object per line, envelope fields ``schema`` /
 ``event`` / ``device`` / ``seq`` / ``sim_t``):
@@ -36,8 +35,7 @@ them.
 
 The reducer (:func:`reduce_spools`) folds spools in sorted-filename order
 through :class:`~repro.obs.export.PayloadAccumulator`, so its merged
-output is byte-identical to
-:func:`~repro.obs.export.merge_recorder_payloads` over the same devices
+output is a pure function of the devices' payloads in device order
 while holding O(metric names) state — never O(devices) payloads. Fleet
 wall-time and throughput percentiles come from
 :class:`~repro.obs.sketch.QuantileSketch`, whose merges are exactly
@@ -249,8 +247,7 @@ class DeviceTelemetryStreamer:
     *interval_s* since the last snapshot, a ``snapshot`` event with
     cumulative counters, counter deltas and current gauges is emitted.
     The streamer only ever *reads* recorder state, so a streamed run's
-    recorder payload is bit-identical to an unstreamed one — which is
-    what lets the spool reducer reproduce the in-RAM merge exactly.
+    recorder payload is bit-identical to an unstreamed one.
     """
 
     def __init__(
@@ -333,10 +330,10 @@ class DeviceTelemetryStreamer:
 class ReducedStream:
     """The fold of a spool set: merged telemetry plus fleet-level views.
 
-    ``merged`` is byte-identical to
-    :func:`~repro.obs.export.merge_recorder_payloads` over the same
-    devices' payloads (the differential contract
-    ``tests/test_stream.py`` and CI's fleet-stream smoke enforce).
+    ``merged`` is byte-identical to a
+    :class:`~repro.obs.export.PayloadAccumulator` fold of the same
+    devices' payloads in device order (the differential contract
+    ``tests/test_stream.py`` enforces).
     """
 
     merged: Dict[str, object]
@@ -401,8 +398,8 @@ def reduce_spools(
     ``device_finish`` payload is folded into a
     :class:`~repro.obs.export.PayloadAccumulator` and dropped. Files are
     processed in sorted-filename order (the writer's zero-padded device
-    naming makes that device order), so the merged output is byte-
-    identical to :func:`merge_recorder_payloads` over the same devices.
+    naming makes that device order), so the merged output does not
+    depend on how the fleet was scheduled.
 
     *keep_summaries* retains a small per-device summary row (the health
     scorer's input); pass ``False`` for the strict O(sketch) fold the

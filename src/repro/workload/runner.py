@@ -5,8 +5,8 @@ fresh storage stack for a :class:`DeviceSpec`, run its personality under
 observation, and return a JSON-serializable report (engine result, raw
 device :class:`~repro.blockdev.device.IOStats`, deniability gauges and the
 full observability payload). Reports are deterministic per spec, which is
-what lets the fleet's merged output be cross-checked against single-device
-runs at the same seeds.
+what lets a fleet device's spooled telemetry be cross-checked against a
+single-device run at the same seed.
 """
 
 from __future__ import annotations
@@ -91,6 +91,30 @@ def _finish_report(
     }
 
 
+def _run_observed(
+    spec: DeviceSpec, record: bool
+) -> Tuple[Dict[str, object], List[TraceOp]]:
+    """Run one device under observation; the trace is empty unless
+    *record* is set."""
+    spec.validate()
+    with obs.observe() as recorder:
+        stack = build_workload_stack(
+            spec.setting, seed=spec.seed, userdata_blocks=spec.userdata_blocks
+        )
+        result, trace = run_personality(
+            spec.personality,
+            stack.fs,
+            stack.clock,
+            _workload_rng(spec),
+            ops=spec.ops,
+            content_seed=spec.seed,
+            record=record,
+            stats_device=stack.phone.userdata,
+        )
+        report = _finish_report(spec, result, recorder, stack)
+    return report, trace
+
+
 def run_device(spec: DeviceSpec) -> Dict[str, object]:
     """Run one device's personality workload; returns its report dict.
 
@@ -98,23 +122,7 @@ def run_device(spec: DeviceSpec) -> Dict[str, object]:
     derived from the spec's seed, so the same spec always produces the
     same report (this is the fleet's determinism contract).
     """
-    spec.validate()
-    with obs.observe() as recorder:
-        stack = build_workload_stack(
-            spec.setting, seed=spec.seed, userdata_blocks=spec.userdata_blocks
-        )
-        result, _trace = run_personality(
-            spec.personality,
-            stack.fs,
-            stack.clock,
-            _workload_rng(spec),
-            ops=spec.ops,
-            content_seed=spec.seed,
-            record=False,
-            stats_device=stack.phone.userdata,
-        )
-        report = _finish_report(spec, result, recorder, stack)
-    return report
+    return _run_observed(spec, record=False)[0]
 
 
 def run_device_streamed(
@@ -186,23 +194,7 @@ def record_device(
     spec: DeviceSpec,
 ) -> Tuple[Dict[str, object], List[TraceOp]]:
     """Like :func:`run_device` but also returns the recorded trace."""
-    spec.validate()
-    with obs.observe() as recorder:
-        stack = build_workload_stack(
-            spec.setting, seed=spec.seed, userdata_blocks=spec.userdata_blocks
-        )
-        result, trace = run_personality(
-            spec.personality,
-            stack.fs,
-            stack.clock,
-            _workload_rng(spec),
-            ops=spec.ops,
-            content_seed=spec.seed,
-            record=True,
-            stats_device=stack.phone.userdata,
-        )
-        report = _finish_report(spec, result, recorder, stack)
-    return report, trace
+    return _run_observed(spec, record=True)
 
 
 def replay_on_setting(

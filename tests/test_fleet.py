@@ -3,13 +3,13 @@
 import dataclasses
 import gc
 import json
+import pathlib
 import tracemalloc
 
 import pytest
 
-from repro.errors import WorkloadError
-from repro.obs import merge_recorder_payloads
-from repro.obs.export import SCHEMA_VERSION, dump_json
+from repro.errors import ObsError, WorkloadError
+from repro.obs.export import SCHEMA_VERSION, PayloadAccumulator, dump_json
 from repro.workload import (
     DeviceSpec,
     FleetSpec,
@@ -27,6 +27,33 @@ FLEET = FleetSpec(
 @pytest.fixture(scope="module")
 def fleet_payload():
     return run_fleet(FLEET)
+
+
+@pytest.fixture(scope="module")
+def device_reports():
+    """Standalone run_device() reports at the fleet's seeds."""
+    return [run_device(spec) for spec in device_specs(FLEET)]
+
+
+def _fold(payloads):
+    accumulator = PayloadAccumulator()
+    for payload in payloads:
+        accumulator.add(payload)
+    return accumulator.result()
+
+
+def _seeded(summary):
+    """The parts of a worker summary that are a pure function of its spec
+    (the spool path and worker wall time are not)."""
+    return json.dumps(
+        {key: summary[key] for key in ("device", "spec", "result", "gauges")},
+        sort_keys=True,
+    )
+
+
+def _standalone(report):
+    """What a fleet summary carries of a standalone run_device() report."""
+    return _seeded(dict(report, gauges=report["obs"]["metrics"]["gauges"]))
 
 
 class TestFleetSpec:
@@ -48,19 +75,23 @@ class TestFleetSpec:
 class TestRunFleet:
     def test_serial_equals_parallel(self, fleet_payload):
         serial = run_fleet(dataclasses.replace(FLEET, processes=1))
-        for key in ("devices", "totals", "obs_merged"):
+        for key in ("totals", "obs_merged"):
             assert json.dumps(fleet_payload[key], sort_keys=True) == (
                 json.dumps(serial[key], sort_keys=True)
             )
+        assert [_seeded(s) for s in fleet_payload["devices"]] == (
+            [_seeded(s) for s in serial["devices"]]
+        )
 
-    def test_sections_match_standalone_runs(self, fleet_payload):
-        """Acceptance: each per-device section of the merged report is the
-        standalone run_device() report at the same seed."""
-        for i, spec in enumerate(device_specs(FLEET)):
-            solo = run_device(spec)
-            assert json.dumps(fleet_payload["devices"][i], sort_keys=True) == (
-                json.dumps(solo, sort_keys=True)
-            )
+    def test_sections_match_standalone_runs(
+        self, fleet_payload, device_reports
+    ):
+        """Acceptance: each device summary's spec, result and gauges are
+        the standalone run_device() report's at the same seed (the spooled
+        obs payload is pinned by tests/test_stream.py)."""
+        assert [_seeded(s) for s in fleet_payload["devices"]] == (
+            [_standalone(r) for r in device_reports]
+        )
 
     def test_totals_sum_devices(self, fleet_payload):
         totals = fleet_payload["totals"]
@@ -75,6 +106,12 @@ class TestRunFleet:
         assert fleet_payload["experiment"] == "fleet"
         assert fleet_payload["params"]["devices"] == 3
         assert fleet_payload["obs_merged"]["merged_from"] == 3
+        assert fleet_payload["stream"]["finished"] == 3
+
+    def test_temporary_stream_dir_is_removed(self, fleet_payload):
+        assert fleet_payload["stream"]["dir"] is None
+        for summary in fleet_payload["devices"]:
+            assert not pathlib.Path(summary["spool"]).parent.exists()
 
     def test_render(self, fleet_payload):
         text = render_fleet_report(fleet_payload)
@@ -84,9 +121,7 @@ class TestRunFleet:
     def test_single_device_fleet(self):
         payload = run_fleet(FleetSpec(devices=1, ops=20, base_seed=2))
         solo = run_device(DeviceSpec(index=0, ops=20, seed=2))
-        assert json.dumps(payload["devices"][0], sort_keys=True) == (
-            json.dumps(solo, sort_keys=True)
-        )
+        assert _seeded(payload["devices"][0]) == _standalone(solo)
 
 
 class TestStreamedFleet:
@@ -98,13 +133,12 @@ class TestStreamedFleet:
 
     def test_streamed_merge_matches_in_ram_merge(self, streamed):
         """Acceptance: the spool-reduced observability section is
-        byte-identical to the legacy hold-everything merge."""
+        byte-identical to folding the standalone run_device() payloads."""
         small, _directory, payload = streamed
-        legacy = run_fleet(small)
+        reports = [run_device(spec) for spec in device_specs(small)]
         assert dump_json(payload["obs_merged"]) == (
-            dump_json(legacy["obs_merged"])
+            dump_json(_fold([r["obs"] for r in reports]))
         )
-        assert dump_json(payload["totals"]) == dump_json(legacy["totals"])
 
     def test_stream_section(self, streamed):
         small, directory, payload = streamed
@@ -125,17 +159,15 @@ class TestStreamedFleet:
             assert summary["gauges"]
         assert "Fleet:" in render_fleet_report(payload)
 
-    def test_max_inflight_guard_warns_on_legacy_path(self):
-        small = FleetSpec(devices=2, ops=10, userdata_blocks=1024)
-        with pytest.warns(RuntimeWarning, match="max_inflight_reports=1"):
-            run_fleet(small, max_inflight_reports=1)
-
-    def test_max_inflight_guard_silent_when_under(self, recwarn):
-        small = FleetSpec(devices=2, ops=10, userdata_blocks=1024)
-        run_fleet(small, max_inflight_reports=2)
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
-        ]
+    def test_stale_spools_are_refused(self, tmp_path):
+        """A smaller fleet into a directory a larger one used must not
+        merge the larger fleet's leftover spools into its stats."""
+        spec = FleetSpec(devices=3, ops=4, userdata_blocks=1024,
+                         processes=1)
+        run_fleet(spec, stream_dir=tmp_path)
+        with pytest.raises(ObsError, match="already holds 3 spool"):
+            run_fleet(dataclasses.replace(spec, devices=2),
+                      stream_dir=tmp_path)
 
 
 def _synthetic_payload(i):
@@ -177,8 +209,8 @@ def _synthetic_payload(i):
 
 
 class TestMergeScale:
-    """merge_recorder_payloads at 1k payloads: associativity, bounded
-    memory, pinned percentile output."""
+    """PayloadAccumulator at 1k payloads: associativity, bounded memory,
+    pinned percentile output."""
 
     N = 1000
 
@@ -189,11 +221,11 @@ class TestMergeScale:
     def test_associative_regrouping(self, payloads):
         from repro.bench.history import flatten_numeric
 
-        whole = merge_recorder_payloads(payloads)
-        halves = merge_recorder_payloads(
+        whole = _fold(payloads)
+        halves = _fold(
             [
-                merge_recorder_payloads(payloads[: self.N // 2]),
-                merge_recorder_payloads(payloads[self.N // 2:]),
+                _fold(payloads[: self.N // 2]),
+                _fold(payloads[self.N // 2:]),
             ]
         )
         a = flatten_numeric({k: v for k, v in whole.items()
@@ -207,25 +239,23 @@ class TestMergeScale:
     def test_reversal_invariance(self, payloads):
         from repro.bench.history import flatten_numeric
 
-        forward = flatten_numeric(merge_recorder_payloads(payloads))
-        backward = flatten_numeric(
-            merge_recorder_payloads(list(reversed(payloads)))
-        )
+        forward = flatten_numeric(_fold(payloads))
+        backward = flatten_numeric(_fold(list(reversed(payloads))))
         assert set(forward) == set(backward)
         for name, value in forward.items():
             assert backward[name] == pytest.approx(value, rel=1e-12), name
 
     def test_pinned_merged_percentiles(self, payloads):
-        merged = merge_recorder_payloads(payloads)
+        merged = _fold(payloads)
         hist = merged["metrics"]["histograms"]["io.write_s"]
         assert hist["count"] == 4 * self.N
         assert hist["buckets"] == {"0.001": 2 * self.N, "0.01": 2 * self.N}
-        # interpolated inside the merged buckets, clamped to min/max:
-        # p50 sits at the top of the first bucket, p95/p99 interpolate
-        # between it and the observed max
+        # Histogram.percentile interpolates from the bucket's lower bound
+        # (0.005 for the 0.01 bucket) and clamps to min/max: p50 sits at
+        # the top of the first bucket, p95/p99 clamp to the observed max
         assert hist["p50_s"] == pytest.approx(0.001)
-        assert hist["p95_s"] == pytest.approx(0.0046)
-        assert hist["p99_s"] == pytest.approx(0.00492)
+        assert hist["p95_s"] == pytest.approx(0.005)
+        assert hist["p99_s"] == pytest.approx(0.005)
         assert hist["min_s"] == 0.0005
         assert hist["max_s"] == 0.005
 
@@ -236,7 +266,7 @@ class TestMergeScale:
         def peak(batch):
             gc.collect()
             tracemalloc.start()
-            merge_recorder_payloads(batch)
+            _fold(batch)
             _current, peak_bytes = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             return peak_bytes
@@ -248,9 +278,9 @@ class TestMergeScale:
 
 
 class TestMergeRecorderPayloads:
-    def test_merges_device_observations(self, fleet_payload):
-        merged = fleet_payload["obs_merged"]
-        devices = [r["obs"] for r in fleet_payload["devices"]]
+    def test_merges_device_observations(self, device_reports):
+        devices = [r["obs"] for r in device_reports]
+        merged = _fold(devices)
         # counters sum
         for name, value in merged["metrics"]["counters"].items():
             assert value == pytest.approx(sum(
@@ -276,8 +306,8 @@ class TestMergeRecorderPayloads:
             assert hist["min_s"] <= hist["p50_s"] <= hist["max_s"]
             assert hist["min_s"] <= hist["p99_s"] <= hist["max_s"]
 
-    def test_span_means_recomputed(self, fleet_payload):
-        merged = fleet_payload["obs_merged"]
+    def test_span_means_recomputed(self, device_reports):
+        merged = _fold([r["obs"] for r in device_reports])
         for agg in merged["spans"].values():
             assert agg["mean_s"] == pytest.approx(
                 agg["total_s"] / agg["count"]
@@ -285,7 +315,24 @@ class TestMergeRecorderPayloads:
             assert agg["max_s"] <= agg["total_s"] + 1e-12
 
     def test_empty_merge(self):
-        merged = merge_recorder_payloads([])
+        merged = _fold([])
         assert merged["merged_from"] == 0
         assert merged["spans"] == {}
         assert merged["io"]["events"] == 0
+
+    def test_single_payload_histograms_round_trip(self):
+        """Folding one device's payload returns its histograms unchanged:
+        the fold interpolates percentiles exactly as the device did."""
+        obs = run_device(DeviceSpec(ops=60, seed=3))["obs"]
+        merged = _fold([obs])
+        assert dump_json(merged["metrics"]["histograms"]) == (
+            dump_json(obs["metrics"]["histograms"])
+        )
+
+    def test_unknown_bucket_label_raises(self):
+        payload = _synthetic_payload(0)
+        payload["metrics"]["histograms"]["io.write_s"]["buckets"] = {
+            "0.003": 4
+        }
+        with pytest.raises(ObsError, match="unknown bucket label '0.003'"):
+            _fold([payload])

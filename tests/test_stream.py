@@ -2,7 +2,7 @@
 
 The acceptance contract lives here: a streamed device's spooled payload
 is byte-identical to the unstreamed run, and the incremental spool
-reducer reproduces ``merge_recorder_payloads`` byte-for-byte.
+reducer reproduces a direct ``PayloadAccumulator`` fold byte-for-byte.
 """
 
 import json
@@ -13,7 +13,7 @@ from repro import obs
 from repro.errors import ObsError
 from repro.obs import health as obs_health
 from repro.obs import stream
-from repro.obs.export import dump_json, merge_recorder_payloads
+from repro.obs.export import PayloadAccumulator, dump_json
 from repro.workload.runner import DeviceSpec, run_device, run_device_streamed
 
 SPECS = [
@@ -249,7 +249,10 @@ class TestReduceSpools:
         """The tentpole's differential contract."""
         directory, _ = spool_dir
         reduced = stream.reduce_spools(directory)
-        merged = merge_recorder_payloads([r["obs"] for r in plain_reports])
+        accumulator = PayloadAccumulator()
+        for report in plain_reports:
+            accumulator.add(report["obs"])
+        merged = accumulator.result()
         assert dump_json(reduced.merged) == dump_json(merged)
 
     def test_counts_and_summaries(self, spool_dir):
