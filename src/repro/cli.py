@@ -38,10 +38,7 @@ workload commands drive app-shaped traffic (``repro workload`` records a
 trace, ``repro replay`` re-drives one on any stack, ``repro fleet`` runs
 N simulated phones in parallel); see docs/workloads.md. Commands building
 small stacks directly share the ``--userdata-mib`` flag for the simulated
-userdata partition size. The global ``--reference-core`` flag runs any
-command on the pure-Python reference core instead of the vectorized NumPy
-core — outputs are bit-identical, only wall time changes (the same switch
-``REPRO_NO_NUMPY=1`` flips for a whole process). See EXPERIMENTS.md for
+userdata partition size. See EXPERIMENTS.md for
 the paper-vs-measured record and docs/observability.md for the telemetry
 guide.
 """
@@ -55,7 +52,6 @@ import sys
 from typing import List, Optional
 
 from repro import obs
-from repro.util import npgate
 from repro.adversary import (
     MobiCealHarness,
     MobiPlutoHarness,
@@ -799,13 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paper's tables and figures on the simulated stack.",
     )
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument(
-        "--reference-core",
-        action="store_true",
-        help="run on the pure-Python reference core instead of the "
-        "vectorized NumPy core (results are bit-identical, only wall "
-        "time changes; equivalent to REPRO_NO_NUMPY=1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fig4", help="Fig. 4: sequential throughput")
@@ -1134,10 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.reference_core:
-        with npgate.reference_core():
-            args.func(args)
-        return 0
     args.func(args)
     return 0
 

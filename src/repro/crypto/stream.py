@@ -18,9 +18,10 @@ import hashlib
 import hmac
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from repro.crypto.aes import AES
 from repro.errors import InvalidKeyError
-from repro.util.npgate import np, vector_enabled
 from repro.util.units import SECTOR_SIZE
 
 _CHUNK = 64  # BLAKE2b output size
@@ -41,8 +42,8 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """Constant-width XOR of two equal-length byte strings, via big ints.
 
     Orders of magnitude faster than a per-byte generator for the 4 KiB
-    payloads the block layer moves around. This is the reference XOR; the
-    vectorized core uses :func:`xor_buffers`.
+    payloads the block layer moves around. The scalar per-sector path
+    uses it; whole extents go through :func:`xor_buffers`.
     """
     n = len(a)
     return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(
@@ -55,12 +56,9 @@ def xor_buffers(a: bytes, b: bytes) -> bytes:
 
     Views both buffers as uint64 lanes (uint8 for lengths that are not a
     multiple of 8) and XORs them in one ``np.bitwise_xor`` — whole-extent
-    payloads never round-trip through Python ints. Falls back to
-    :func:`xor_bytes` when vectorization is disabled; the output is
-    byte-identical either way.
+    payloads never round-trip through Python ints. Byte-identical to
+    :func:`xor_bytes`.
     """
-    if not vector_enabled():
-        return xor_bytes(a, b)
     dtype = np.uint64 if len(a) % 8 == 0 else np.uint8
     return np.bitwise_xor(
         np.frombuffer(a, dtype=dtype), np.frombuffer(b, dtype=dtype)
@@ -118,15 +116,14 @@ class SectorCipher(ABC):
 class Blake2Ctr(SectorCipher):
     """Counter-mode stream cipher keyed with BLAKE2b (fast bulk cipher).
 
-    The extent path runs on the vectorized core when enabled: keystream
-    units are memoized in a per-unit cache (the keystream depends only on
-    ``(key, sector, counter)``, never on the payload, so rewriting an
-    extent — journal commits, hot files, bench rounds — skips
-    regeneration entirely), missing units are hashed through a pre-keyed
-    template in a tight loop, and the whole-extent XOR runs on uint64
-    lanes. The scalar per-sector path is the uncached reference
-    implementation; both produce identical bytes, as the keystream KATs
-    and the differential equivalence battery assert.
+    On the extent path keystream units are memoized in a per-unit cache
+    (the keystream depends only on ``(key, sector, counter)``, never on
+    the payload, so rewriting an extent — journal commits, hot files,
+    bench rounds — skips regeneration entirely), missing units are hashed
+    through a pre-keyed template in a tight loop, and the whole-extent
+    XOR runs on uint64 lanes. The scalar per-sector path is the uncached
+    oracle; both produce identical bytes, as the keystream KATs and the
+    extent equivalence battery assert.
     """
 
     #: Cached keystream units per cipher instance (4 KiB units -> 8 MiB
@@ -170,35 +167,15 @@ class Blake2Ctr(SectorCipher):
 
         The keystream of unit ``u`` is exactly ``_keystream(sector + u*step,
         unit_bytes)``, so the concatenated-XOR result is bitwise identical
-        to per-unit encryption. With the vectorized core enabled the
-        keystream comes from the unit cache / batched generator and the
-        XOR runs on uint64 lanes; otherwise the uncached reference loop
-        below runs. Both produce the same bytes.
+        to per-unit encryption. The keystream comes from the unit cache /
+        batched generator and the XOR runs on uint64 lanes.
         """
         if unit_bytes % _CHUNK != 0 or len(data) % unit_bytes != 0:
             return super().encrypt_extent(sector, data, unit_bytes)
-        if not vector_enabled():
-            return self._encrypt_extent_reference(sector, data, unit_bytes)
         ks = self._extent_keystream(
             sector, len(data) // unit_bytes, unit_bytes
         )
         return xor_buffers(data, ks)
-
-    def _encrypt_extent_reference(
-        self, sector: int, data: bytes, unit_bytes: int
-    ) -> bytes:
-        """The pure-Python extent path: per-chunk hashing, big-int XOR."""
-        step = unit_bytes // SECTOR_SIZE
-        template = self._template
-        counters = _chunk_counters(unit_bytes // _CHUNK)
-        chunks = []
-        for u in range(len(data) // unit_bytes):
-            prefix = (sector + u * step).to_bytes(8, "little")
-            for counter in counters:
-                h = template.copy()
-                h.update(prefix + counter)
-                chunks.append(h.digest())
-        return xor_bytes(data, b"".join(chunks))
 
     def _extent_keystream(
         self, sector: int, nunits: int, unit_bytes: int
@@ -224,8 +201,8 @@ class Blake2Ctr(SectorCipher):
         Message construction is plain bytes concatenation: assembling the
         ``sector || counter`` blocks as a NumPy matrix costs more than it
         saves, because BLAKE2b compression dominates the cold path. The
-        vectorized core's win here is the unit cache and the uint64-lane
-        XOR, not the hashing itself.
+        extent path's win is the unit cache and the uint64-lane XOR, not
+        the hashing itself.
         """
         template_copy = self._template.copy
         counters = _chunk_counters(unit_bytes // _CHUNK)

@@ -85,6 +85,10 @@ from repro.server.trace import TRACE_HEADER, TraceContext, mint_trace, route_tem
 #: Largest accepted request body (devices are small; 8 MiB is generous).
 MAX_BODY_BYTES = 8 << 20
 
+#: Longest request or header line the daemon reads (the stream limit);
+#: a longer one is answered 414 / 431 and the connection closed.
+MAX_LINE_BYTES = 1 << 16
+
 #: Default slow-request capture threshold (wall seconds).
 DEFAULT_SLOW_REQUEST_S = 1.0
 
@@ -124,8 +128,9 @@ def _classify(exc: Exception) -> Tuple[int, str]:
 _REASONS = {
     200: "OK", 201: "Created", 400: "Bad Request", 403: "Forbidden",
     404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
-    413: "Payload Too Large", 500: "Internal Server Error",
-    503: "Service Unavailable",
+    413: "Payload Too Large", 414: "URI Too Long",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
+    501: "Not Implemented", 503: "Service Unavailable",
 }
 
 
@@ -195,7 +200,7 @@ class PDEServer:
             self.resumed_devices += 1
         self.metrics.gauge("server.devices").set(len(self.devices))
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -297,8 +302,18 @@ class PDEServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one request; None on clean EOF before a request line."""
-        request_line = await reader.readline()
+        """Parse one request; None on clean EOF before a request line.
+
+        A line past :data:`MAX_LINE_BYTES` makes ``readline`` raise
+        ``ValueError``; it is refused (414 / 431) rather than left to
+        reset the connection.
+        """
+        try:
+            request_line = await reader.readline()
+        except ValueError:
+            raise _HttpProblem(
+                414, f"request line longer than {MAX_LINE_BYTES} bytes"
+            ) from None
         if not request_line:
             return None
         parts = request_line.decode("latin-1").strip().split()
@@ -307,13 +322,22 @@ class PDEServer:
         method, target, version = parts
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                raise _HttpProblem(
+                    431, f"header line longer than {MAX_LINE_BYTES} bytes"
+                ) from None
             if line in (b"\r\n", b"\n", b""):
                 break
             name, sep, value = line.decode("latin-1").partition(":")
             if not sep:
                 raise _HttpProblem(400, f"malformed header line: {line!r}")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            # the body framing is not understood, so nothing after these
+            # headers can be trusted to start the next request
+            raise _HttpProblem(501, "Transfer-Encoding is not supported")
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:

@@ -71,18 +71,22 @@ def _workload_rng(spec: DeviceSpec) -> Rng:
     return Rng(spec.seed).fork(f"workload/{spec.personality}")
 
 
-def _finish_report(
-    spec: DeviceSpec,
-    result: WorkloadResult,
-    recorder: obs.Recorder,
-    stack: Stack,
-) -> Dict[str, object]:
+def _record_gauges(recorder: obs.Recorder, stack: Stack) -> None:
     if stack.system is not None:
         obs.record_deniability_gauges(
             recorder.metrics,
             pool=stack.system.pool,
             allocation=stack.system.config.allocation,
         )
+
+
+def _finish_report(
+    spec: DeviceSpec,
+    result: WorkloadResult,
+    recorder: obs.Recorder,
+    stack: Stack,
+) -> Dict[str, object]:
+    _record_gauges(recorder, stack)
     return {
         "device": spec.index,
         "spec": dataclasses.asdict(spec),
@@ -92,27 +96,58 @@ def _finish_report(
 
 
 def _run_observed(
-    spec: DeviceSpec, record: bool
-) -> Tuple[Dict[str, object], List[TraceOp]]:
-    """Run one device under observation; the trace is empty unless
-    *record* is set."""
-    spec.validate()
+    spec: DeviceSpec,
+    record: bool,
+    writer: Optional[obs_stream.SpoolWriter] = None,
+    snapshot_interval_s: float = obs_stream.DEFAULT_SNAPSHOT_INTERVAL_S,
+) -> Tuple[
+    Dict[str, object],
+    List[TraceOp],
+    Optional[obs_stream.DeviceTelemetryStreamer],
+]:
+    """Run one device under observation: ``(report, trace, streamer)``.
+
+    The trace is empty unless *record* is set. With a spool *writer* the
+    run also streams ``telemetry.v1``: the returned streamer has emitted
+    ``device_start`` and the periodic snapshots and still owes its
+    ``finish``; an exception is spooled as ``device_crash`` before it
+    propagates, so the spool always records how the run ended.
+    """
+    streamer = None
     with obs.observe() as recorder:
-        stack = build_workload_stack(
-            spec.setting, seed=spec.seed, userdata_blocks=spec.userdata_blocks
-        )
-        result, trace = run_personality(
-            spec.personality,
-            stack.fs,
-            stack.clock,
-            _workload_rng(spec),
-            ops=spec.ops,
-            content_seed=spec.seed,
-            record=record,
-            stats_device=stack.phone.userdata,
-        )
-        report = _finish_report(spec, result, recorder, stack)
-    return report, trace
+        if writer is not None:
+            streamer = obs_stream.DeviceTelemetryStreamer(
+                writer, recorder, interval_s=snapshot_interval_s
+            )
+            writer.emit("device_start", 0.0, spec=dataclasses.asdict(spec))
+        try:
+            spec.validate()
+            stack = build_workload_stack(
+                spec.setting,
+                seed=spec.seed,
+                userdata_blocks=spec.userdata_blocks,
+            )
+            if streamer is not None:
+                # snapshots are stamped from the stack's sim clock; the
+                # recorder's clock stays untouched so span durations match
+                # an unstreamed run exactly
+                streamer.clock = stack.clock
+            result, trace = run_personality(
+                spec.personality,
+                stack.fs,
+                stack.clock,
+                _workload_rng(spec),
+                ops=spec.ops,
+                content_seed=spec.seed,
+                record=record,
+                stats_device=stack.phone.userdata,
+            )
+            report = _finish_report(spec, result, recorder, stack)
+        except Exception as exc:
+            if streamer is not None:
+                streamer.crash(exc)
+            raise
+    return report, trace, streamer
 
 
 def run_device(spec: DeviceSpec) -> Dict[str, object]:
@@ -136,47 +171,20 @@ def run_device_streamed(
     fixed-size recorder payload rides in the spool's ``device_finish``
     event for :func:`repro.obs.stream.reduce_spools` to fold, and only a
     small summary dict (spec, workload result, final gauges, spool path)
-    is returned. The streamer only *reads* recorder state, so the payload
-    written to the spool is byte-identical to what :func:`run_device`
-    would have returned for the same spec — the differential contract the
-    stream tests pin.
+    is returned. The run is :func:`run_device`'s, and the streamer only
+    *reads* recorder state, so the payload written to the spool is
+    byte-identical to what :func:`run_device` would have returned for the
+    same spec — the differential contract the stream tests pin.
 
     A worker crash emits a ``device_crash`` event before the exception
     propagates, so the spool always records how the run ended.
     """
-    spec.validate()
     path = obs_stream.spool_path(stream_dir, spec.index)
     wall_start = time.perf_counter()
     with obs_stream.SpoolWriter(path, spec.index) as writer:
-        with obs.observe() as recorder:
-            streamer = obs_stream.DeviceTelemetryStreamer(
-                writer, recorder, interval_s=snapshot_interval_s
-            )
-            writer.emit("device_start", 0.0, spec=dataclasses.asdict(spec))
-            try:
-                stack = build_workload_stack(
-                    spec.setting,
-                    seed=spec.seed,
-                    userdata_blocks=spec.userdata_blocks,
-                )
-                # snapshots are stamped from the stack's sim clock; the
-                # recorder's clock stays untouched so span durations match
-                # an unstreamed run exactly
-                streamer.clock = stack.clock
-                result, _trace = run_personality(
-                    spec.personality,
-                    stack.fs,
-                    stack.clock,
-                    _workload_rng(spec),
-                    ops=spec.ops,
-                    content_seed=spec.seed,
-                    record=False,
-                    stats_device=stack.phone.userdata,
-                )
-                report = _finish_report(spec, result, recorder, stack)
-            except Exception as exc:
-                streamer.crash(exc)
-                raise
+        report, _trace, streamer = _run_observed(
+            spec, False, writer, snapshot_interval_s
+        )
         wall_s = time.perf_counter() - wall_start
         streamer.finish(report["result"], report["obs"], wall_s)
     return {
@@ -194,7 +202,8 @@ def record_device(
     spec: DeviceSpec,
 ) -> Tuple[Dict[str, object], List[TraceOp]]:
     """Like :func:`run_device` but also returns the recorded trace."""
-    return _run_observed(spec, record=True)
+    report, trace, _streamer = _run_observed(spec, record=True)
+    return report, trace
 
 
 def replay_on_setting(
@@ -225,10 +234,5 @@ def replay_on_setting(
             name=f"replay-{setting}",
             stats_device=stack.phone.userdata,
         )
-        if stack.system is not None:
-            obs.record_deniability_gauges(
-                recorder.metrics,
-                pool=stack.system.pool,
-                allocation=stack.system.config.allocation,
-            )
+        _record_gauges(recorder, stack)
     return result, obs.recorder_payload(recorder)

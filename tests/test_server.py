@@ -9,6 +9,7 @@ direct unit tests where sockets would only add noise.
 
 import http.client
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -87,6 +88,37 @@ def _raw_request(client, method, path, body, content_type="application/json"):
         return response.status, json.loads(response.read())
     finally:
         conn.close()
+
+
+def _raw_exchange(client, data: bytes) -> bytes:
+    """Write *data* to a fresh connection; return all it reads back.
+
+    A daemon that answers and closes before reading all of *data* makes
+    the kernel reset the connection after the response, so a reset ends
+    the read like an EOF does.
+    """
+    with socket.create_connection((client.host, client.port), timeout=30) as sock:
+        try:
+            sock.sendall(data)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        received = b""
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                chunk = b""
+            if not chunk:
+                return received
+            received += chunk
+
+
+def _status_and_headers(response: bytes):
+    assert response.startswith(b"HTTP/1.1 "), response
+    head = response.split(b"\r\n\r\n", 1)[0].decode("latin-1").split("\r\n")
+    status = int(head[0].split()[1])
+    headers = dict(line.split(": ", 1) for line in head[1:])
+    return status, headers
 
 
 class TestLifecycle:
@@ -289,6 +321,45 @@ class TestErrorPaths:
                 assert response.status == 413
             finally:
                 conn.close()
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, detail",
+        [
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 200_000
+             + b"\r\n\r\n", 431, "header line longer than"),
+            (b"GET /" + b"a" * 200_000 + b" HTTP/1.1\r\n\r\n", 414,
+             "request line longer than"),
+        ],
+        ids=["header-431", "request-line-414"],
+    )
+    def test_oversized_line_refused(
+        self, tmp_path, request_bytes, status, detail
+    ):
+        with RunningServer(tmp_path) as client:
+            response = _raw_exchange(client, request_bytes)
+            got, headers = _status_and_headers(response)
+            assert got == status
+            assert headers["Connection"] == "close"
+            assert detail in response.decode("latin-1")
+            client.healthz()  # the daemon keeps serving
+
+    def test_transfer_encoding_501_and_close(self, tmp_path):
+        with RunningServer(tmp_path) as client:
+            body = b'{"name": "te"}'
+            response = _raw_exchange(
+                client,
+                b"POST /devices HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n",
+            )
+            status, headers = _status_and_headers(response)
+            assert status == 501
+            assert headers["Connection"] == "close"
+            # one response only: the chunk bytes were never parsed as a
+            # second request, and no device was created from them
+            assert response.count(b"HTTP/1.1 ") == 1
+            assert client.devices() == []
 
 
 def _drive(client, device_id):
