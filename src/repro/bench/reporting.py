@@ -6,22 +6,8 @@ from typing import Dict, List, Sequence
 
 from repro.bench.runners import OverheadRow, TimingRow
 from repro.util.stats import Summary
+from repro.util.table import render_table
 from repro.util.units import format_duration
-
-
-def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """Simple fixed-width table renderer."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
 
 
 def render_fig4(results: Dict[str, Dict[str, Summary]]) -> str:

@@ -72,11 +72,6 @@ from repro.obs.chrometrace import (
     validate_trace_events,
 )
 from repro.obs.flame import folded_stacks, parse_folded, render_folded
-from repro.obs.sketch import (
-    MetricSnapshot,
-    QuantileSketch,
-    median,
-)
 from repro.obs.promtext import (
     info_lines,
     parse_prom,
@@ -91,6 +86,7 @@ from repro.obs.stream import (
     ReducedStream,
     SpoolWriter,
     ensure_fresh_stream_dir,
+    fleet_percentiles,
     reduce_spools,
     render_top,
     scan_spools,
@@ -149,9 +145,6 @@ __all__ = [
     "render_span_aggregates",
     "render_span_tree",
     "write_bench_json",
-    "MetricSnapshot",
-    "QuantileSketch",
-    "median",
     "info_lines",
     "parse_prom",
     "prom_lines",
@@ -163,6 +156,7 @@ __all__ = [
     "ReducedStream",
     "SpoolWriter",
     "ensure_fresh_stream_dir",
+    "fleet_percentiles",
     "reduce_spools",
     "render_top",
     "scan_spools",

@@ -18,29 +18,15 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.errors import ObsError
 from repro.obs.metrics import Histogram
 from repro.obs.recorder import Recorder, SpanRecord
+from repro.util import render_table
 
 #: Version of the BENCH_*.json schema. Bump on incompatible layout changes.
 SCHEMA_VERSION = 1
-
-
-def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """Local fixed-width table renderer (obs must not import repro.bench)."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +233,7 @@ def render_span_aggregates(recorder: Recorder) -> str:
         ]
         for name, agg in sorted(aggregates.items())
     ]
-    return _render_table(["span", "count", "total", "mean", "max"], rows)
+    return render_table(["span", "count", "total", "mean", "max"], rows)
 
 
 def render_metrics(recorder: Recorder) -> str:
@@ -259,13 +245,13 @@ def render_metrics(recorder: Recorder) -> str:
             [name, f"{c.value:g}"]
             for name, c in sorted(metrics.counters.items())
         ]
-        sections.append("Counters\n" + _render_table(["counter", "value"], rows))
+        sections.append("Counters\n" + render_table(["counter", "value"], rows))
     if metrics.gauges:
         rows = [
             [name, f"{g.value:.4f}"]
             for name, g in sorted(metrics.gauges.items())
         ]
-        sections.append("Gauges\n" + _render_table(["gauge", "value"], rows))
+        sections.append("Gauges\n" + render_table(["gauge", "value"], rows))
     if metrics.histograms:
         rows = [
             [
@@ -281,7 +267,7 @@ def render_metrics(recorder: Recorder) -> str:
         ]
         sections.append(
             "Latency histograms\n"
-            + _render_table(
+            + render_table(
                 ["histogram", "n", "mean", "p50", "p95", "p99", "max"], rows
             )
         )
@@ -300,12 +286,12 @@ def render_metrics(recorder: Recorder) -> str:
         ]
         sections.append(
             "Histogram buckets (upper bound in seconds : count)\n"
-            + _render_table(["histogram", "buckets"], bucket_rows)
+            + render_table(["histogram", "buckets"], bucket_rows)
         )
     marks = recorder.mark_counts()
     if marks:
         rows = [[name, str(count)] for name, count in sorted(marks.items())]
-        sections.append("Marks\n" + _render_table(["mark", "hits"], rows))
+        sections.append("Marks\n" + render_table(["mark", "hits"], rows))
     if not sections:
         return "(no metrics recorded)"
     return "\n\n".join(sections)

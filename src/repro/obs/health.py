@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.export import SCHEMA_VERSION
-from repro.obs.sketch import median
 
 #: Flag weights: score = max(0, 1 - sum of raised flags' weights).
 FLAG_WEIGHTS: Dict[str, float] = {
@@ -74,6 +73,17 @@ def _write_amplification(result: Dict[str, object]) -> Optional[float]:
     if not logical:
         return None
     return physical / logical
+
+
+def median(values: List[float]) -> float:
+    """Plain exact median (the health scorer's robust fleet center)."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def fleet_medians(summaries: Sequence[Dict[str, object]]) -> Dict[str, float]:

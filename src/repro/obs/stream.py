@@ -33,13 +33,18 @@ machinery but describe *service* traffic, not device simulation, so the
 reducer's merged telemetry and the live monitor's device rows ignore
 them.
 
+Both producers of ``telemetry.v1`` — fleet workers
+(:func:`repro.workload.runner.run_device_streamed`) and the daemon's
+hosted devices (:class:`repro.server.device.ServerDevice`) — write it
+through one :class:`DeviceTelemetryStreamer`.
+
 The reducer (:func:`reduce_spools`) folds spools in sorted-filename order
 through :class:`~repro.obs.export.PayloadAccumulator`, so its merged
 output is a pure function of the devices' payloads in device order
-while holding O(metric names) state — never O(devices) payloads. Fleet
-wall-time and throughput percentiles come from
-:class:`~repro.obs.sketch.QuantileSketch`, whose merges are exactly
-order-independent.
+while holding O(metric names) state plus one small summary row per
+device. Fleet wall-time and throughput percentiles are exact
+(:func:`fleet_percentiles`) over the per-device values those rows and
+the live monitor's device views already hold.
 """
 
 from __future__ import annotations
@@ -47,15 +52,14 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.errors import ObsError
-from repro.obs.export import (
-    PayloadAccumulator,
-    _render_table,
-)
-from repro.obs.recorder import Recorder
-from repro.obs.sketch import MetricSnapshot, QuantileSketch
+from repro.obs.export import PayloadAccumulator
+from repro.obs.metrics import MetricRegistry
+from repro.util import render_table
 
 #: Version tag carried by every telemetry event line.
 TELEMETRY_SCHEMA = "telemetry.v1"
@@ -240,35 +244,42 @@ class SpoolWriter:
 
 
 class DeviceTelemetryStreamer:
-    """Incrementally streams one device's observation into its spool.
+    """Writes one device's ``telemetry.v1`` events into its spool.
 
-    Hooks the recorder's mark spine (:meth:`Recorder.add_listener`) as a
-    heartbeat: whenever the simulated clock has advanced at least
-    *interval_s* since the last snapshot, a ``snapshot`` event with
-    cumulative counters, counter deltas and current gauges is emitted.
-    The streamer only ever *reads* recorder state, so a streamed run's
-    recorder payload is bit-identical to an unstreamed one.
+    The only producer of the format: fleet workers and daemon devices
+    both drive one. It only ever *reads* the device's *registry* and sim
+    *clock*, so a streamed run's metrics are bit-identical to an
+    unstreamed one. *clock* may be attached after construction (a fleet
+    worker builds its stack after ``device_start``); until then events
+    are stamped from the fallback time the caller passes.
+
+    :meth:`on_mark` is a heartbeat for :meth:`Recorder.add_listener`:
+    whenever the sim clock has advanced at least *interval_s* since the
+    last snapshot, it emits one. The daemon instead calls
+    :meth:`emit_snapshot` after every op.
     """
 
     def __init__(
         self,
         writer: SpoolWriter,
-        recorder: Recorder,
+        registry: MetricRegistry,
+        clock=None,
         interval_s: float = DEFAULT_SNAPSHOT_INTERVAL_S,
     ) -> None:
         self.writer = writer
-        self.recorder = recorder
+        self.registry = registry
+        self.clock = clock
         self.interval_s = interval_s
-        #: sim clock snapshots are stamped from; set once the stack exists
-        self.clock = None
         self._last_emit_t: Optional[float] = None
-        self._previous: Optional[MetricSnapshot] = None
-        recorder.add_listener(self._on_mark)
+        self._previous: Dict[str, float] = {}
 
     def _now(self, fallback: float = 0.0) -> float:
         return self.clock.now if self.clock is not None else fallback
 
-    def _on_mark(self, record) -> None:
+    def start(self, spec: Dict[str, object]) -> None:
+        self.writer.emit("device_start", self._now(), spec=spec)
+
+    def on_mark(self, record) -> None:
         now = self._now(record.at)
         if (
             self._last_emit_t is not None
@@ -277,19 +288,30 @@ class DeviceTelemetryStreamer:
             return
         self.emit_snapshot(now)
 
-    def emit_snapshot(self, sim_t: Optional[float] = None) -> None:
-        """Emit one periodic metric snapshot at *sim_t* (default: now)."""
+    def emit_snapshot(self, sim_t: Optional[float] = None, **extra) -> None:
+        """Emit one metric snapshot at *sim_t* (default: now).
+
+        Carries cumulative ``counters``, the ``counter_deltas`` since the
+        previous snapshot (unchanged counters omitted), current
+        ``gauges``, and any *extra* fields (the daemon's ``trace``).
+        """
         if sim_t is None:
             sim_t = self._now()
-        snapshot = MetricSnapshot.capture(self.recorder.metrics)
+        counters = {n: c.value for n, c in self.registry.counters.items()}
+        previous = self._previous
         self.writer.emit(
             "snapshot",
             sim_t,
-            counters=snapshot.counters,
-            counter_deltas=snapshot.delta(self._previous),
-            gauges=snapshot.gauges,
+            counters=counters,
+            counter_deltas={
+                name: value - previous.get(name, 0.0)
+                for name, value in counters.items()
+                if value != previous.get(name, 0.0)
+            },
+            gauges={n: g.value for n, g in self.registry.gauges.items()},
+            **extra,
         )
-        self._previous = snapshot
+        self._previous = counters
         self._last_emit_t = sim_t
 
     def finish(
@@ -321,6 +343,11 @@ class DeviceTelemetryStreamer:
         self.writer.emit("device_crash", self._now(), error=repr(error))
 
 
+def fleet_percentiles(values: Iterable[float]) -> Tuple[float, float, float]:
+    """Exact ``(p50, p95, p99)`` of per-device values (linear interpolation)."""
+    return tuple(float(v) for v in np.percentile(list(values), (50, 95, 99)))
+
+
 # ---------------------------------------------------------------------------
 # Reducer
 # ---------------------------------------------------------------------------
@@ -342,12 +369,8 @@ class ReducedStream:
     started: int = 0
     finished: int = 0
     crashed: int = 0
-    #: small per-device summaries (health-scorer input, top's final rows)
+    #: small per-device summaries (health-scorer input, fleet percentiles)
     summaries: List[Dict[str, object]] = field(default_factory=list)
-    #: fleet percentiles of per-device worker wall time (seconds)
-    wall_sketch: QuantileSketch = field(default_factory=QuantileSketch)
-    #: fleet percentiles of per-device write throughput (MB/s)
-    throughput_sketch: QuantileSketch = field(default_factory=QuantileSketch)
 
     @property
     def devices(self) -> int:
@@ -402,8 +425,8 @@ def reduce_spools(
     depend on how the fleet was scheduled.
 
     *keep_summaries* retains a small per-device summary row (the health
-    scorer's input); pass ``False`` for the strict O(sketch) fold the
-    memory benchmark pins.
+    scorer's and the fleet percentiles' input); pass ``False`` for the
+    strict O(metric names) fold the memory benchmark pins.
     """
     accumulator = PayloadAccumulator()
     reduced = ReducedStream(merged={})
@@ -434,10 +457,6 @@ def reduce_spools(
                 accumulator.add(event["obs"])
                 result = event["result"]
                 reduced.finished += 1
-                reduced.wall_sketch.observe(max(event["wall_s"], 0.0))
-                reduced.throughput_sketch.observe(
-                    max(result.get("write_mb_s", 0.0), 0.0)
-                )
                 if keep_summaries:
                     reduced.summaries.append(
                         {
@@ -480,8 +499,6 @@ class FleetView:
 
     devices: Dict[int, DeviceView] = field(default_factory=dict)
     events: int = 0
-    throughput_sketch: QuantileSketch = field(default_factory=QuantileSketch)
-    wall_sketch: QuantileSketch = field(default_factory=QuantileSketch)
 
     def counts(self) -> Dict[str, int]:
         out = {"starting": 0, "running": 0, "done": 0, "crashed": 0}
@@ -490,8 +507,7 @@ class FleetView:
         return out
 
 
-def _apply_event(view: DeviceView, sketch_pair, event: Dict[str, object]) -> None:
-    throughput_sketch, wall_sketch = sketch_pair
+def _apply_event(view: DeviceView, event: Dict[str, object]) -> None:
     kind = event.get("event")
     sim_t = event.get("sim_t", 0.0)
     if isinstance(sim_t, (int, float)) and sim_t > view.sim_t:
@@ -526,9 +542,6 @@ def _apply_event(view: DeviceView, sketch_pair, event: Dict[str, object]) -> Non
         view.mb_written = result.get("bytes_written", 0.0) / 1e6
         view.write_mb_s = result.get("write_mb_s")
         view.wall_s = float(event.get("wall_s", 0.0))
-        if view.write_mb_s is not None:
-            throughput_sketch.observe(max(view.write_mb_s, 0.0))
-        wall_sketch.observe(max(view.wall_s, 0.0))
     elif kind == "device_crash":
         view.state = "crashed"
 
@@ -540,7 +553,6 @@ def scan_spools(directory) -> FleetView:
     fatal; per-device state comes from the latest events seen.
     """
     fleet = FleetView()
-    sketches = (fleet.throughput_sketch, fleet.wall_sketch)
     for path in _spool_files(directory):
         for event in iter_spool_events(path, tolerate_partial=True):
             if not isinstance(event, dict):
@@ -554,7 +566,7 @@ def scan_spools(directory) -> FleetView:
             view = fleet.devices.get(device)
             if view is None:
                 view = fleet.devices[device] = DeviceView(device=device)
-            _apply_event(view, sketches, event)
+            _apply_event(view, event)
     return fleet
 
 
@@ -581,7 +593,7 @@ def render_top(view: FleetView, max_rows: int = 40) -> str:
                 _fmt_opt(d.occupancy, "{:.3f}"),
             ]
         )
-    table = _render_table(
+    table = render_table(
         ["device", "state", "sim t", "ops", "MB", "MB/s", "dummy-amp",
          "occup"],
         rows,
@@ -597,16 +609,17 @@ def render_top(view: FleetView, max_rows: int = 40) -> str:
         f"{counts['done']} done, {counts['crashed']} crashed "
         f"({view.events} events)"
     )
-    if view.throughput_sketch.count:
-        t = view.throughput_sketch
+    done = [d for d in view.devices.values() if d.state == "done"]
+    throughput = [d.write_mb_s for d in done if d.write_mb_s is not None]
+    if throughput:
+        p50, p95, p99 = fleet_percentiles(throughput)
         lines.append(
-            f"throughput MB/s: p50 {t.p50:.2f}  p95 {t.p95:.2f}  "
-            f"p99 {t.p99:.2f}  (n={t.count})"
+            f"throughput MB/s: p50 {p50:.2f}  p95 {p95:.2f}  "
+            f"p99 {p99:.2f}  (n={len(throughput)})"
         )
-    if view.wall_sketch.count:
-        w = view.wall_sketch
+    if done:
+        p50, p95, p99 = fleet_percentiles(d.wall_s for d in done)
         lines.append(
-            f"worker wall s:   p50 {w.p50:.3f}  p95 {w.p95:.3f}  "
-            f"p99 {w.p99:.3f}"
+            f"worker wall s:   p50 {p50:.3f}  p95 {p95:.3f}  p99 {p99:.3f}"
         )
     return "\n".join(lines)

@@ -27,7 +27,9 @@ GET    ``/metrics``                    metric export (``?format=prom`` = text)
 Error mapping is by exception family: malformed requests 400, unknown
 routes/devices 404, lifecycle conflicts (double boot, duplicate name,
 wrong mode) 409, rejected passwords 403, anything unexpected 500 — every
-error body is ``{"error": ..., "detail": ...}``.
+error body is ``{"error": ..., "detail": ...}``. Requests the parser
+refuses (400/413/414/431/501) are counted and access-logged under the
+route ``rejected`` before the connection is closed.
 
 **Request tracing.** Every request is minted a deterministic
 :class:`~repro.server.trace.TraceContext` (``X-Repro-Trace`` inbound is
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import contextlib
 import json
 import pathlib
 import threading
@@ -89,6 +92,21 @@ MAX_BODY_BYTES = 8 << 20
 #: a longer one is answered 414 / 431 and the connection closed.
 MAX_LINE_BYTES = 1 << 16
 
+#: Most header lines one request may carry; more are answered 431.
+MAX_HEADER_LINES = 100
+
+#: After a refusal the daemon reads and discards at most this many of the
+#: client's unread bytes, for at most this long, before closing — so the
+#: close is a FIN the client reads after the response, not a reset.
+MAX_DRAIN_BYTES = 1 << 20
+DRAIN_TIMEOUT_S = 1.0
+
+#: Route label every refused (unparseable or over-limit) request is
+#: counted and logged under, with its method when the request line
+#: parsed to a known one and ``UNKNOWN`` otherwise.
+REJECTED_ROUTE = "rejected"
+_KNOWN_METHODS = frozenset({"GET", "POST", "DELETE"})
+
 #: Default slow-request capture threshold (wall seconds).
 DEFAULT_SLOW_REQUEST_S = 1.0
 
@@ -101,10 +119,11 @@ _SERVER_NAME = "repro-pde/1"
 class _HttpProblem(Exception):
     """A protocol-level failure with a fixed status (pre-routing)."""
 
-    def __init__(self, status: int, detail: str) -> None:
+    def __init__(self, status: int, detail: str, method: str = "") -> None:
         super().__init__(detail)
         self.status = status
         self.detail = detail
+        self.method = method
 
 
 def _classify(exc: Exception) -> Tuple[int, str]:
@@ -249,11 +268,7 @@ class PDEServer:
                 try:
                     parsed = await self._read_request(reader)
                 except _HttpProblem as exc:
-                    await self._send_json(
-                        writer, exc.status,
-                        {"error": "bad_request", "detail": exc.detail},
-                        keep_alive=False,
-                    )
+                    await self._refuse(reader, writer, exc)
                     return
                 if parsed is None:
                     return  # clean EOF between requests
@@ -301,12 +316,54 @@ class PDEServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
+    async def _refuse(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        problem: _HttpProblem,
+    ) -> None:
+        """Answer a request the parser refused, count and log it, then
+        close without resetting the connection.
+
+        Closing a socket with unread bytes makes the kernel send a reset,
+        which can destroy the response before the client reads it. So
+        after the response the write side is shut (the client reads EOF)
+        and the client's leftover bytes are drained — at most
+        :data:`MAX_DRAIN_BYTES`, for at most :data:`DRAIN_TIMEOUT_S`.
+        """
+        started = time.monotonic()
+        method = (
+            problem.method if problem.method in _KNOWN_METHODS else "UNKNOWN"
+        )
+        trace = self._mint_trace({}, method, REJECTED_ROUTE)
+        sent = await self._send_json(
+            writer, problem.status,
+            {"error": "bad_request", "detail": problem.detail},
+            keep_alive=False, trace=trace,
+        )
+        self._count_response(REJECTED_ROUTE, method, problem.status)
+        self._log_access(
+            trace, REJECTED_ROUTE, method, problem.status, started, 0, sent
+        )
+        writer.write_eof()
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
+        drained = 0
+        with contextlib.suppress(asyncio.TimeoutError):
+            while drained < MAX_DRAIN_BYTES:
+                chunk = await asyncio.wait_for(
+                    reader.read(1 << 16), deadline - time.monotonic()
+                )
+                if not chunk:
+                    break
+                drained += len(chunk)
+
     async def _read_request(self, reader: asyncio.StreamReader):
         """Parse one request; None on clean EOF before a request line.
 
         A line past :data:`MAX_LINE_BYTES` makes ``readline`` raise
         ``ValueError``; it is refused (414 / 431) rather than left to
-        reset the connection.
+        reset the connection, as are more than :data:`MAX_HEADER_LINES`
+        header lines (431).
         """
         try:
             request_line = await reader.readline()
@@ -320,30 +377,42 @@ class PDEServer:
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise _HttpProblem(400, f"malformed request line: {parts!r}")
         method, target, version = parts
+        method = method.upper()
         headers: Dict[str, str] = {}
+        lines = 0
         while True:
             try:
                 line = await reader.readline()
             except ValueError:
                 raise _HttpProblem(
-                    431, f"header line longer than {MAX_LINE_BYTES} bytes"
+                    431, f"header line longer than {MAX_LINE_BYTES} bytes",
+                    method,
                 ) from None
             if line in (b"\r\n", b"\n", b""):
                 break
+            lines += 1
+            if lines > MAX_HEADER_LINES:
+                raise _HttpProblem(
+                    431, f"more than {MAX_HEADER_LINES} header lines", method
+                )
             name, sep, value = line.decode("latin-1").partition(":")
             if not sep:
-                raise _HttpProblem(400, f"malformed header line: {line!r}")
+                raise _HttpProblem(
+                    400, f"malformed header line: {line!r}", method
+                )
             headers[name.strip().lower()] = value.strip()
         if "transfer-encoding" in headers:
             # the body framing is not understood, so nothing after these
             # headers can be trusted to start the next request
-            raise _HttpProblem(501, "Transfer-Encoding is not supported")
+            raise _HttpProblem(
+                501, "Transfer-Encoding is not supported", method
+            )
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
-            raise _HttpProblem(400, "malformed Content-Length") from None
+            raise _HttpProblem(400, "malformed Content-Length", method) from None
         if length < 0 or length > MAX_BODY_BYTES:
-            raise _HttpProblem(413, f"body of {length} bytes refused")
+            raise _HttpProblem(413, f"body of {length} bytes refused", method)
         body = await reader.readexactly(length) if length else b""
         keep_alive = (
             version == "HTTP/1.1"
@@ -351,7 +420,7 @@ class PDEServer:
         )
         url = urllib.parse.urlsplit(target)
         query = dict(urllib.parse.parse_qsl(url.query))
-        return method.upper(), url.path, query, body, headers, keep_alive
+        return method, url.path, query, body, headers, keep_alive
 
     def _head(
         self,

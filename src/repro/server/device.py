@@ -54,8 +54,7 @@ from repro.obs.export import SCHEMA_VERSION
 from repro.obs.gauges import pool_deniability_gauges
 from repro.obs.metrics import MetricRegistry
 from repro.obs.recorder import Recorder
-from repro.obs.sketch import MetricSnapshot
-from repro.obs.stream import SpoolWriter, spool_path
+from repro.obs.stream import DeviceTelemetryStreamer, SpoolWriter, spool_path
 
 #: Hard ceiling on hosted device size — the daemon keeps every device's
 #: medium in RAM, so one request must not be able to allocate gigabytes.
@@ -228,7 +227,9 @@ class ServerDevice:
         self.system = MobiCealSystem(self.phone, config.mobiceal_config())
         self.metrics = MetricRegistry()
         self.writer = SpoolWriter(spool_path(stream_dir, device_id), device_id)
-        self._prev_snapshot: Optional[MetricSnapshot] = None
+        self.streamer = DeviceTelemetryStreamer(
+            self.writer, self.metrics, clock=self.phone.clock
+        )
         self.needs_recovery = False
         self.image_digest: Optional[str] = None
         self.created_wall = time.monotonic()
@@ -269,9 +270,7 @@ class ServerDevice:
         )
         # initialize() ends with a reboot: the device sits at the pre-boot
         # prompt (OFFLINE), like a phone fresh out of ``pde wipe``
-        device.writer.emit(
-            "device_start", device.phone.clock.now, spec=config.to_spec()
-        )
+        device.streamer.start(config.to_spec())
         device._after_op("create")
         return device
 
@@ -311,9 +310,7 @@ class ServerDevice:
             device.metrics.counter(name).add(value)
         for name, value in (state.get("gauges") or {}).items():
             device.metrics.gauge(name).set(value)
-        device.writer.emit(
-            "device_start", device.phone.clock.now, spec=config.to_spec()
-        )
+        device.streamer.start(config.to_spec())
         device._after_op("resume")
         return device
 
@@ -505,17 +502,8 @@ class ServerDevice:
             "metrics": self.metrics.as_dict(),
             "io": {"events": 0, "by_op": {}},
         }
-        gauges = payload["metrics"]["gauges"]
-        for name in sorted(gauges):
-            self.writer.emit(
-                "gauge_sample", sim_t, gauge=name, value=gauges[name]
-            )
-        self.writer.emit(
-            "device_finish",
-            sim_t,
-            result=result,
-            obs=payload,
-            wall_s=time.monotonic() - self.created_wall,
+        self.streamer.finish(
+            result, payload, time.monotonic() - self.created_wall
         )
         self.writer.close()
 
@@ -534,21 +522,12 @@ class ServerDevice:
         if self.system._pool is not None:
             for name, value in pool_deniability_gauges(self.system.pool).items():
                 self.metrics.gauge(name).set(value)
-        snapshot = MetricSnapshot.capture(self.metrics)
         extra: Dict[str, object] = {}
         if self._trace is not None:
             # traced requests stamp their telemetry: the snapshot this op
             # produced is joinable to the access-log line that caused it
             extra["trace"] = self._trace.trace_id
-        self.writer.emit(
-            "snapshot",
-            self.phone.clock.now,
-            counters=snapshot.counters,
-            counter_deltas=snapshot.delta(self._prev_snapshot),
-            gauges=snapshot.gauges,
-            **extra,
-        )
-        self._prev_snapshot = snapshot
+        self.streamer.emit_snapshot(**extra)
         self._checkpoint()
 
     def _media(self):

@@ -23,7 +23,6 @@ concurrency lives in the simulated devices, not in SQLite).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pathlib
 import sqlite3
@@ -70,10 +69,6 @@ CREATE TABLE IF NOT EXISTS snapshots (
     manifest   TEXT NOT NULL
 );
 """
-
-
-def _block_hash(block: bytes) -> str:
-    return hashlib.sha256(block).hexdigest()
 
 
 class FleetStore:
@@ -189,35 +184,16 @@ class FleetStore:
     # -- images & snapshots ----------------------------------------------------
 
     def _intern_blocks_locked(self, snapshot: Snapshot) -> List[str]:
-        if snapshot.hashes is not None:
-            # A frozen CoW capture arrives with every block's hash already
-            # computed (unchanged blocks carry the hash cached at the last
-            # freeze), so interning costs one INSERT per *distinct* block
-            # and zero sha256 work here.
-            inserted: Dict[str, bool] = {}
-            for block, h in zip(snapshot.blocks, snapshot.hashes):
-                if h not in inserted:
-                    inserted[h] = True
-                    self._conn.execute(
-                        "INSERT OR IGNORE INTO blocks (hash, data) "
-                        "VALUES (?, ?)",
-                        (h, block),
-                    )
-            return list(snapshot.hashes)
-        manifest: List[str] = []
-        seen: Dict[int, str] = {}
-        for block in snapshot.blocks:
-            # capture() already interns identical blocks to one object, so
-            # id() keying avoids re-hashing a fill pattern thousands of times
-            h = seen.get(id(block))
-            if h is None:
-                h = seen[id(block)] = _block_hash(block)
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO blocks (hash, data) VALUES (?, ?)",
-                    (h, block),
-                )
-            manifest.append(h)
-        return manifest
+        # A frozen CoW capture arrives with every block's hash already
+        # computed (unchanged blocks carry the hash cached at the last
+        # freeze); any other capture hashes once per distinct block
+        # object. Interning then costs one INSERT per *distinct* block.
+        hashes = snapshot.block_hashes()
+        self._conn.executemany(
+            "INSERT OR IGNORE INTO blocks (hash, data) VALUES (?, ?)",
+            dict(zip(hashes, snapshot.blocks)).items(),
+        )
+        return list(hashes)
 
     def _load_manifest_locked(
         self, manifest: List[str], block_size: int, label: str, taken_at: float

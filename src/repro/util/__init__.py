@@ -1,4 +1,4 @@
-"""Small shared utilities: unit helpers, deterministic RNG plumbing, stats."""
+"""Small shared utilities: unit helpers, stats, text tables."""
 
 from repro.util.units import (
     KiB,
@@ -10,6 +10,7 @@ from repro.util.units import (
     format_throughput,
 )
 from repro.util.stats import Summary, summarize, shannon_entropy, chi_square_uniform
+from repro.util.table import render_table
 
 __all__ = [
     "KiB",
@@ -23,4 +24,5 @@ __all__ = [
     "summarize",
     "shannon_entropy",
     "chi_square_uniform",
+    "render_table",
 ]

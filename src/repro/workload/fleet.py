@@ -29,6 +29,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 from repro.errors import WorkloadError
 from repro.obs.export import SCHEMA_VERSION
 from repro.obs.stream import ensure_fresh_stream_dir, reduce_spools
+from repro.util import render_table
 from repro.workload.runner import (
     DEFAULT_USERDATA_BLOCKS,
     DeviceSpec,
@@ -176,8 +177,6 @@ def _totals(results: Iterable[Dict[str, object]]) -> Dict[str, object]:
 
 def render_fleet_report(payload: Dict[str, object]) -> str:
     """Human-readable fleet summary (one row per device plus totals)."""
-    from repro.bench.reporting import render_table
-
     rows = []
     for report in payload["devices"]:
         result = report["result"]

@@ -117,9 +117,10 @@ def _run_observed(
     with obs.observe() as recorder:
         if writer is not None:
             streamer = obs_stream.DeviceTelemetryStreamer(
-                writer, recorder, interval_s=snapshot_interval_s
+                writer, recorder.metrics, interval_s=snapshot_interval_s
             )
-            writer.emit("device_start", 0.0, spec=dataclasses.asdict(spec))
+            recorder.add_listener(streamer.on_mark)
+            streamer.start(dataclasses.asdict(spec))
         try:
             spec.validate()
             stack = build_workload_stack(

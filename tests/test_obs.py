@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.blockdev import RAMBlockDevice, SimClock
@@ -188,6 +190,43 @@ class TestMetrics:
         assert not reg.empty
         d = reg.as_dict()
         assert d["counters"]["c"] == 1
+
+
+hist_values = st.lists(
+    st.floats(min_value=1e-7, max_value=20.0, allow_nan=False), max_size=50
+)
+
+
+def _hist(values, name="h"):
+    hist = Histogram(name)
+    for value in values:
+        hist.observe(value)
+    return hist
+
+
+class TestHistogramMerge:
+    """Histogram.merge, which PayloadAccumulator folds device histograms with."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=hist_values, b=hist_values)
+    def test_merge_equals_observing_everything(self, a, b):
+        merged = _hist(a).merge(_hist(b))
+        whole = _hist(a + b)
+        assert merged._counts == whole._counts
+        assert merged.count == whole.count
+        assert merged.minimum == whole.minimum
+        assert merged.maximum == whole.maximum
+        assert merged.total == pytest.approx(whole.total)
+        assert merged.p95 == pytest.approx(whole.p95)
+
+    def test_merge_in_place_returns_self(self):
+        target = _hist([0.1, 0.2])
+        assert target.merge(_hist([0.3])) is target
+        assert target.count == 3
+
+    def test_bound_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            Histogram("a").merge(Histogram("b", bounds=(1.0,)))
 
 
 class TestMarkCrashPointSpine:

@@ -91,23 +91,16 @@ def _raw_request(client, method, path, body, content_type="application/json"):
 
 
 def _raw_exchange(client, data: bytes) -> bytes:
-    """Write *data* to a fresh connection; return all it reads back.
+    """Write *data* to a fresh connection; return all it reads up to EOF.
 
-    A daemon that answers and closes before reading all of *data* makes
-    the kernel reset the connection after the response, so a reset ends
-    the read like an EOF does.
+    Strict: a connection reset raises, so every caller also checks that
+    the daemon closed the connection cleanly after its response.
     """
     with socket.create_connection((client.host, client.port), timeout=30) as sock:
-        try:
-            sock.sendall(data)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
+        sock.sendall(data)
         received = b""
         while True:
-            try:
-                chunk = sock.recv(65536)
-            except ConnectionResetError:
-                chunk = b""
+            chunk = sock.recv(65536)
             if not chunk:
                 return received
             received += chunk
@@ -342,6 +335,69 @@ class TestErrorPaths:
             assert headers["Connection"] == "close"
             assert detail in response.decode("latin-1")
             client.healthz()  # the daemon keeps serving
+
+    def test_refusals_are_counted_and_logged(self, tmp_path):
+        refused = [
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 200_000
+             + b"\r\n\r\n", 431, "GET"),
+            (b"GARBAGE\r\n\r\n", 400, "UNKNOWN"),
+            (b"POST /devices HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+             b"\r\n0\r\n\r\n", 501, "POST"),
+        ]
+        with RunningServer(tmp_path) as client:
+            for request, status, _method in refused:
+                got, headers = _status_and_headers(
+                    _raw_exchange(client, request)
+                )
+                assert got == status
+                assert "X-Repro-Trace" in headers
+            counters = client.metrics()["server"]["counters"]
+        assert counters["server.requests.rejected.GET.4xx"] == 1
+        assert counters["server.requests.rejected.UNKNOWN.4xx"] == 1
+        assert counters["server.requests.rejected.POST.5xx"] == 1
+        assert counters["server.responses.4xx"] == 2
+        assert counters["server.responses.5xx"] == 1
+        lines = (tmp_path / "access.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        rejected = [r for r in records if r["route"] == "rejected"]
+        assert [(r["status"], r["method"]) for r in rejected] == [
+            (status, method) for _, status, method in refused
+        ]
+        for record in rejected:
+            assert obs_stream.validate_event(record) == []
+            assert record["device"] == -1
+
+    def test_refusal_closes_without_reset(self, tmp_path):
+        """The client reads the whole refusal and then EOF, not a reset,
+        even though most of its oversized header was never parsed."""
+        request = (
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 200_000
+            + b"\r\n\r\n"
+        )
+        with RunningServer(tmp_path) as client:
+            for _ in range(5):
+                response = _raw_exchange(client, request)
+                assert _status_and_headers(response)[0] == 431
+                assert response.endswith(b"}\n")
+
+    def test_header_count_capped(self, tmp_path):
+        from repro.server.app import MAX_HEADER_LINES
+
+        def request(count):
+            return (
+                b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+                + b"".join(b"X-H%d: v\r\n" % i for i in range(count - 1))
+                + b"\r\n"
+            )
+
+        with RunningServer(tmp_path) as client:
+            response = _raw_exchange(client, request(5000))
+            status, headers = _status_and_headers(response)
+            assert status == 431
+            assert headers["Connection"] == "close"
+            assert b"more than %d header lines" % MAX_HEADER_LINES in response
+            at_cap = _raw_exchange(client, request(MAX_HEADER_LINES))
+            assert _status_and_headers(at_cap)[0] == 200
 
     def test_transfer_encoding_501_and_close(self, tmp_path):
         with RunningServer(tmp_path) as client:
@@ -725,6 +781,75 @@ class TestTelemetryStream:
             assert kinds[0] == "device_start"
             assert kinds[-1] == "device_finish"
             assert "snapshot" in kinds
+
+    def test_daemon_spool_format_is_pinned(self, tmp_path):
+        """Golden ``telemetry.v1`` spool of a create → boot → write →
+        snapshot → DELETE script: every event's kind, keys and counter
+        deltas, in order."""
+        envelope = ["device", "event", "schema", "seq", "sim_t"]
+        snapshot_keys = sorted(
+            envelope + ["counter_deltas", "counters", "gauges"]
+        )
+        with RunningServer(tmp_path) as client:
+            device_id = int(client.create_device("golden")["id"])
+            client.boot(device_id, "decoy")
+            client.write(device_id, "/f.txt", b"x" * 5000)
+            client.snapshot(device_id, "s1")
+            client.delete_device(device_id)
+        path = obs_stream.spool_path(tmp_path, device_id)
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        gauges = [
+            "pde.bitmap_occupancy", "pde.dummy_amplification",
+            "pde.dummy_burst_rate",
+        ] + [f"pde.volume_write_share.vol{i}" for i in range(1, 5)]
+        expected = (
+            [("device_start", sorted(envelope + ["spec"]), None),
+             ("snapshot", snapshot_keys,
+              {"server.ops.create": 1.0, "workload.ops.create": 1.0})]
+            + [
+                ("snapshot", sorted(snapshot_keys + ["trace"]), deltas)
+                for deltas in (
+                    {"server.ops.boot": 1.0, "workload.ops.boot": 1.0},
+                    {"server.ops.write": 1.0, "workload.ops.write": 1.0,
+                     "workload.bytes_written": 5000.0},
+                    {"server.ops.snapshot": 1.0,
+                     "workload.ops.snapshot": 1.0},
+                )
+            ]
+            + [("gauge_sample", sorted(envelope + ["gauge", "value"]), None)]
+            * len(gauges)
+            + [("device_finish",
+                sorted(envelope + ["obs", "result", "wall_s"]), None)]
+        )
+        assert [
+            (e["event"], sorted(e), e.get("counter_deltas")) for e in events
+        ] == expected
+        assert [e["seq"] for e in events] == list(range(len(events)))
+        assert all(e["device"] == device_id for e in events)
+        assert all(obs_stream.validate_event(e) == [] for e in events)
+        assert events[0]["spec"]["name"] == "golden"
+        # device_start and the create snapshot share the post-init clock
+        assert events[0]["sim_t"] == events[1]["sim_t"] > 0.0
+        times = [e["sim_t"] for e in events]
+        assert times == sorted(times)
+        # cumulative counters are the running sum of the deltas
+        running = {}
+        for event in events[1:5]:
+            for name, delta in event["counter_deltas"].items():
+                running[name] = running.get(name, 0.0) + delta
+            assert event["counters"] == running
+        assert [e["gauge"] for e in events[5:-1]] == gauges
+        finish = events[-1]
+        assert finish["result"] == {
+            "ops": 4,
+            "bytes_written": 5000.0,
+            "write_mb_s": 5000.0 / 1e6 / finish["sim_t"],
+        }
+        assert finish["obs"]["spans"] == {} and finish["obs"]["marks"] == {}
+        assert finish["obs"]["metrics"]["counters"] == running
+        assert finish["obs"]["metrics"]["gauges"] == {
+            e["gauge"]: e["value"] for e in events[5:-1]
+        }
 
     def test_telemetry_404_and_bad_query(self, tmp_path):
         with RunningServer(tmp_path) as client:

@@ -9,11 +9,11 @@ import json
 
 import pytest
 
-from repro import obs
 from repro.errors import ObsError
 from repro.obs import health as obs_health
 from repro.obs import stream
 from repro.obs.export import PayloadAccumulator, dump_json
+from repro.obs.metrics import MetricRegistry
 from repro.workload.runner import DeviceSpec, run_device, run_device_streamed
 
 SPECS = [
@@ -163,6 +163,35 @@ class TestSpoolWriter:
                    for l in lines)
 
 
+class TestDeviceTelemetryStreamer:
+    def test_snapshot_counter_deltas(self, tmp_path):
+        registry = MetricRegistry()
+        with stream.SpoolWriter(tmp_path / "s.jsonl", 0) as writer:
+            streamer = stream.DeviceTelemetryStreamer(writer, registry)
+            registry.counter("ops").add(5)
+            registry.gauge("occ").set(0.25)
+            streamer.emit_snapshot(1.0)
+            registry.counter("ops").add(2)
+            registry.counter("bytes").add(100)
+            streamer.emit_snapshot(2.0, trace="ab")
+            # unchanged counters are omitted from deltas
+            streamer.emit_snapshot(3.0)
+        events = _events(tmp_path / "s.jsonl")
+        assert [e["counter_deltas"] for e in events] == [
+            {"ops": 5.0}, {"bytes": 100.0, "ops": 2.0}, {},
+        ]
+        assert events[0]["counters"] == {"ops": 5.0}
+        assert events[0]["gauges"] == {"occ": 0.25}
+        assert [e.get("trace") for e in events] == [None, "ab", None]
+
+    def test_fleet_percentiles_are_exact(self):
+        values = [float(v) for v in range(100, 0, -1)]
+        assert stream.fleet_percentiles(values) == pytest.approx(
+            (50.5, 95.05, 99.01)
+        )
+        assert stream.fleet_percentiles([7.0]) == (7.0, 7.0, 7.0)
+
+
 class TestEnsureFreshStreamDir:
     def test_missing_or_empty_dir_is_fine(self, tmp_path):
         assert stream.ensure_fresh_stream_dir(tmp_path / "new") == \
@@ -263,9 +292,14 @@ class TestReduceSpools:
         assert reduced.devices == len(SPECS)
         assert [s["device"] for s in reduced.summaries] == [0, 1, 2]
         assert reduced.by_event["device_finish"] == len(SPECS)
-        assert reduced.wall_sketch.count == len(SPECS)
-        assert reduced.throughput_sketch.count == len(SPECS)
-        assert reduced.throughput_sketch.p50 > 0.0
+        throughput = [s["result"]["write_mb_s"] for s in reduced.summaries]
+        p50, p95, p99 = stream.fleet_percentiles(throughput)
+        # three devices: p50 is the middle one, the tail interpolates
+        # linearly between the top two
+        low, mid, high = sorted(throughput)
+        assert p50 == mid > 0.0
+        assert p95 == pytest.approx(mid + 0.9 * (high - mid))
+        assert p99 == pytest.approx(mid + 0.98 * (high - mid))
 
     def test_accepts_explicit_file_list(self, spool_dir):
         directory, _ = spool_dir
@@ -307,10 +341,9 @@ class TestReduceSpools:
     def test_crash_events_reduce_to_crash_summaries(self, tmp_path):
         path = stream.spool_path(tmp_path, 7)
         with stream.SpoolWriter(path, 7) as writer:
-            with obs.observe() as recorder:
-                streamer = stream.DeviceTelemetryStreamer(writer, recorder)
-                writer.emit("device_start", 0.0, spec={"index": 7})
-                streamer.crash(RuntimeError("boom"))
+            streamer = stream.DeviceTelemetryStreamer(writer, MetricRegistry())
+            streamer.start({"index": 7})
+            streamer.crash(RuntimeError("boom"))
         reduced = stream.reduce_spools(tmp_path)
         assert reduced.crashed == 1 and reduced.finished == 0
         assert reduced.devices == 1
@@ -328,8 +361,19 @@ class TestMonitor:
         assert view.counts()["done"] == 3
         text = stream.render_top(view)
         assert "3 done" in text
-        assert "throughput MB/s" in text
-        assert "p95" in text
+        p50, p95, p99 = stream.fleet_percentiles(
+            d.write_mb_s for d in view.devices.values()
+        )
+        assert (
+            f"throughput MB/s: p50 {p50:.2f}  p95 {p95:.2f}  "
+            f"p99 {p99:.2f}  (n=3)"
+        ) in text
+        p50, p95, p99 = stream.fleet_percentiles(
+            d.wall_s for d in view.devices.values()
+        )
+        assert (
+            f"worker wall s:   p50 {p50:.3f}  p95 {p95:.3f}  p99 {p99:.3f}"
+        ) in text
 
     def test_partial_stream_shows_running_devices(self, spool_dir, tmp_path):
         directory, _ = spool_dir
@@ -449,3 +493,9 @@ class TestHealthScoring:
         assert len(lines) == 2
         for line in lines:
             assert stream.validate_event(json.loads(line)) == []
+
+    def test_median(self):
+        assert obs_health.median([]) == 0.0
+        assert obs_health.median([3.0]) == 3.0
+        assert obs_health.median([5.0, 1.0, 3.0]) == 3.0
+        assert obs_health.median([4.0, 1.0, 2.0, 3.0]) == 2.5
